@@ -57,9 +57,8 @@ func main() {
 	var (
 		modelPath    = flag.String("model", "", "frozen model file to serve (required)")
 		addr         = flag.String("addr", ":8080", "listen address")
-		maxBatch     = flag.Int("max-batch", 0, "flush a coalesced batch at this many queries (0 = default 256)")
-		flushEvery   = flag.Duration("flush", 0, "flush a coalesced batch this long after it opens (0 = default 1ms)")
-		workers      = flag.Int("workers", 0, "AssignBatch workers per flush (0 = GOMAXPROCS)")
+		maxBatch     = flag.Int("max-batch", 0, "flush a coalesced batch at this many queries even while every flusher is busy (0 = default 256)")
+		workers      = flag.Int("workers", 0, "AssignBatch workers per flush; also the flushes run at once before requests coalesce into a shared batch (0 = GOMAXPROCS)")
 		drainTimeout = flag.Duration("drain-timeout", 0, "how long reload and shutdown wait for in-flight requests (0 = default 30s)")
 		maxBody      = flag.Int64("max-body-bytes", 0, "reject POST bodies larger than this with 413 (0 = default 8MiB; negative disables)")
 
@@ -84,7 +83,6 @@ func main() {
 	cfg := serve.Config{
 		ModelPath:    *modelPath,
 		MaxBatch:     *maxBatch,
-		FlushEvery:   *flushEvery,
 		Workers:      *workers,
 		DrainTimeout: *drainTimeout,
 		MaxBodyBytes: *maxBody,

@@ -92,9 +92,9 @@ func BenchServe(w io.Writer, opts Options) error {
 			cpuNote(),
 			"each row is a fresh in-process rockserve stack (TCP loopback listener + serve.Handler) under `concurrency` client goroutines, each issuing `requests/concurrency` POST /assign calls of `queries_per_request` raw-id queries from the labeling workload's candidate pool.",
 			"latency percentiles are exact client-side wall times per request (JSON encode → HTTP round trip → decode), not the server's bucketed histogram; throughput counts completed requests (rps) and queries (qps) over the whole run.",
-			"batches/coalesced_batches/mean_batch/max_batch are the server's own counters for the run: how effectively concurrent requests shared AssignBatch flushes (MaxBatch 256, FlushEvery 1ms — the server defaults).",
+			"batches/coalesced_batches/mean_batch/max_batch are the server's own counters for the run: how effectively concurrent requests shared AssignBatch flushes (MaxBatch 256, the server default; a request flushes at once while fewer than `workers` flushes run, and requests arriving while all are busy share the next one).",
 			"every response was verified against Model.AssignBatch before timing; a mismatched response aborts the sweep.",
-			"latency at higher concurrency includes queueing delay on a saturated host — compare rows at the same workers setting to see the coalescing win, and across workers for scaling (meaningful only when GOMAXPROCS exceeds one).",
+			"latency at higher concurrency includes queueing delay on a saturated host — compare rows at the same workers setting to see queueing grow with concurrency, and across workers for scaling (meaningful only when GOMAXPROCS exceeds one).",
 		},
 	}
 

@@ -2,31 +2,34 @@ package serve
 
 import (
 	"sync"
-	"time"
 
+	"github.com/rockclust/rock/internal/core"
 	"github.com/rockclust/rock/internal/dataset"
-	"github.com/rockclust/rock/internal/vclock"
 )
 
 // Request batching / coalescing.
 //
 // The frozen model's AssignBatch amortizes its sharded-labeler startup
 // (goroutine handoff, scratch acquisition) over a whole batch, so many
-// small concurrent requests serve far better as one large batch than as
-// per-request calls. The batcher accumulates the queries of concurrent
-// /assign requests into one open batch and flushes it when either the
-// batch reaches MaxBatch queries or FlushEvery elapses since the batch
-// opened — the classic size-or-deadline coalescing loop. Requests block
-// until their flush completes and receive exactly their slice of the
-// results, so coalescing is invisible to callers beyond latency.
+// small concurrent requests serve better as one batch than as
+// per-request calls — but only when they would otherwise wait anyway.
+// The batcher coalesces by idle flush ("group commit"): a submission
+// flushes the open batch at once while fewer than slots flushes are
+// running, so a lone request never waits on a timer. When every slot is
+// busy, arriving queries collect in the open batch, and the next flush
+// to finish takes it; batch size follows load with no deadline to tune.
+// A batch that reaches MaxBatch queries flushes at size whether or not a
+// slot is free. Requests block until their flush completes and receive
+// exactly their slice of the results, so coalescing is invisible to
+// callers beyond latency.
 //
 // Batches never mix model generations: every batch is tied to the
 // liveModel its first request acquired, because query transactions are
 // remapped into a specific model's item id space before submission. A
 // submission under a newer model flushes the older batch immediately —
 // which is also what drains in-flight batches promptly during a hot
-// swap. Flushes run on their own goroutine so a full batch never
-// executes on the submitting request's lock hold.
+// swap. Flushes run on their own goroutine so a batch never executes on
+// the submitting request's lock hold.
 
 // waiter is one blocked request: n queries, answered on ch in one send.
 type waiter struct {
@@ -36,14 +39,13 @@ type waiter struct {
 
 // batcher coalesces concurrent assignment requests into shared batches.
 type batcher struct {
-	maxBatch   int
-	flushEvery time.Duration
-	workers    int
-	stats      *serverStats
-	clock      vclock.Clock // deadline timer source; vclock.Real in production
+	maxBatch int
+	slots    int // flushes that may run before arrivals collect
+	stats    *serverStats
+	assign   func(m *core.Model, qs []dataset.Transaction) []int // one flush's AssignBatch; tests hold it open
 
 	mu      sync.Mutex
-	seq     uint64 // open-batch id, so a stale deadline timer cannot flush a successor
+	running int // flushes in progress
 	lm      *liveModel
 	queries []dataset.Transaction
 	waiters []waiter
@@ -64,52 +66,36 @@ func (b *batcher) submit(lm *liveModel, qs []dataset.Transaction) []int {
 	if b.lm != nil && b.lm != lm {
 		b.flushLocked()
 	}
-	if b.lm == nil {
-		b.lm = lm
-		seq := b.seq
-		b.clock.AfterFunc(b.flushEvery, func() { b.flushDeadline(seq) })
-	}
+	b.lm = lm
 	b.queries = append(b.queries, qs...)
 	b.waiters = append(b.waiters, waiter{ch, len(qs)})
-	if len(b.queries) >= b.maxBatch {
+	if b.running < b.slots || len(b.queries) >= b.maxBatch {
 		b.flushLocked()
 	}
 	b.mu.Unlock()
 	return <-ch
 }
 
-// flushDeadline is the deadline half of size-or-deadline: it fires
-// FlushEvery after a batch opens and flushes it iff it is still the open
-// batch (a size flush may already have retired it).
-func (b *batcher) flushDeadline(seq uint64) {
-	b.mu.Lock()
-	if b.lm != nil && b.seq == seq {
-		b.flushLocked()
-	}
-	b.mu.Unlock()
-}
-
-// flushLocked hands the open batch to a flusher goroutine and resets the
-// open-batch state. Caller holds b.mu.
+// flushLocked hands the open batch to a flusher goroutine, which, once
+// its waiters are answered, flushes the batch that collected meanwhile,
+// if any. Caller holds b.mu.
 func (b *batcher) flushLocked() {
 	lm, qs, ws := b.lm, b.queries, b.waiters
 	b.lm, b.queries, b.waiters = nil, nil, nil
-	b.seq++
+	b.running++
 	b.stats.observeBatch(len(qs), len(ws))
 	go func() {
-		out := lm.model.AssignBatch(qs, b.workers)
+		out := b.assign(lm.model, qs)
 		off := 0
 		for _, w := range ws {
 			w.ch <- out[off : off+w.n : off+w.n]
 			off += w.n
 		}
+		b.mu.Lock()
+		b.running--
+		if b.lm != nil {
+			b.flushLocked()
+		}
+		b.mu.Unlock()
 	}()
-}
-
-// pendingWaiters reports how many requests sit in the open batch — a
-// test hook for the coalescing and generation-boundary tests.
-func (b *batcher) pendingWaiters() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.waiters)
 }

@@ -23,7 +23,7 @@ import (
 func TestServeReloadFuzzSchedule(t *testing.T) {
 	v1 := rawModel(t, false)
 	v2 := rawModel(t, true)
-	s := New(v1, Config{MaxBatch: 4, FlushEvery: 100 * time.Microsecond, DrainTimeout: 30 * time.Second})
+	s := New(v1, Config{MaxBatch: 4, DrainTimeout: 30 * time.Second})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

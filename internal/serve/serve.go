@@ -6,9 +6,10 @@
 // The server wraps Model.AssignBatch with two service-grade mechanisms:
 //
 //   - Request coalescing (batcher.go): concurrent POST /assign requests
-//     accumulate into a shared batch flushed by size or deadline, so the
-//     sharded labeler's startup cost amortizes across requests instead of
-//     being paid per call.
+//     flush at once while a flusher is free and collect into a shared
+//     batch while every flusher is busy, so under load the sharded
+//     labeler's startup cost amortizes across requests instead of being
+//     paid per call.
 //   - Atomic hot-swap reload: the current model lives behind an
 //     atomic.Pointer; POST /-/reload (or SIGHUP in cmd/rockserve) loads
 //     and fully validates the new file BEFORE swapping, then waits for
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,21 +50,18 @@ type Config struct {
 	// MaxBatch flushes the open batch when it reaches this many queries
 	// (default 256).
 	MaxBatch int
-	// FlushEvery flushes the open batch this long after it opens, whatever
-	// its size (default 1ms). The deadline bounds the latency cost a
-	// lone request pays for coalescing.
-	FlushEvery time.Duration
 	// Workers is the AssignBatch worker count per flush (0 = GOMAXPROCS).
+	// It is also how many flushes may run before arriving requests
+	// collect into one shared batch.
 	Workers int
 	// DrainTimeout bounds how long a swap waits for the retired
 	// generation's in-flight requests (default 30s). Requests past the
 	// deadline still complete — the timeout only stops the reload
 	// response from waiting on them.
 	DrainTimeout time.Duration
-	// Clock supplies the batcher's flush-deadline timers (nil =
-	// vclock.Real). Tests inject a vclock.Fake to drive the
-	// size-or-deadline race deterministically; production callers leave
-	// it nil.
+	// Clock times Submit calls for the latency stats (nil = vclock.Real).
+	// The streaming ingester passes its own clock through; production
+	// callers leave it nil.
 	Clock vclock.Clock
 	// MaxBodyBytes caps request body sizes on the JSON endpoints (POST
 	// /assign here, POST /ingest in the streaming handler); an oversized
@@ -79,9 +78,6 @@ const DefaultMaxBodyBytes = 8 << 20
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = time.Millisecond
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
@@ -177,12 +173,15 @@ func New(m *core.Model, cfg Config) *Server {
 		cfg:   cfg,
 		stats: &serverStats{started: time.Now()},
 	}
+	slots := cfg.Workers
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
+	}
 	s.batch = &batcher{
-		maxBatch:   cfg.MaxBatch,
-		flushEvery: cfg.FlushEvery,
-		workers:    cfg.Workers,
-		stats:      s.stats,
-		clock:      cfg.Clock,
+		maxBatch: cfg.MaxBatch,
+		slots:    slots,
+		stats:    s.stats,
+		assign:   func(m *core.Model, qs []dataset.Transaction) []int { return m.AssignBatch(qs, cfg.Workers) },
 	}
 	s.cur.Store(newLive(m, 1))
 	return s
@@ -260,32 +259,6 @@ func (s *Server) Submit(qs []dataset.Transaction) (assignments []int, gen uint64
 	lm := s.acquire()
 	defer lm.release()
 	assignments = s.batch.submit(lm, qs)
-
-	s.stats.requests.Add(1)
-	s.stats.queries.Add(int64(len(qs)))
-	for _, ci := range assignments {
-		if ci >= 0 {
-			s.stats.assigned.Add(1)
-		} else {
-			s.stats.outliers.Add(1)
-		}
-	}
-	s.stats.latency.observe(s.cfg.Clock.Now().Sub(start))
-	return assignments, lm.gen
-}
-
-// SubmitDirect answers one batch of queries on the current generation,
-// bypassing the coalescing batcher: the assignment runs synchronously on
-// the calling goroutine. The streaming refresh uses it to re-admit ring
-// survivors against a just-swapped generation — going through the
-// batcher there could strand a partial batch against a test-controlled
-// clock, and the refresh goroutine has no latency to amortize. Counted
-// in the serving stats like any other request. Safe for concurrent use.
-func (s *Server) SubmitDirect(qs []dataset.Transaction) (assignments []int, gen uint64) {
-	start := s.cfg.Clock.Now()
-	lm := s.acquire()
-	defer lm.release()
-	assignments = lm.model.AssignBatch(qs, s.cfg.Workers)
 
 	s.stats.requests.Add(1)
 	s.stats.queries.Add(int64(len(qs)))

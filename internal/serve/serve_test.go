@@ -99,7 +99,7 @@ func postAssign(t *testing.T, url string, req AssignRequest) (AssignResponse, in
 // the assignments must be exactly the model's.
 func TestAssignIDs(t *testing.T) {
 	m := rawModel(t, false)
-	s := New(m, Config{FlushEvery: time.Millisecond})
+	s := New(m, Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -131,7 +131,7 @@ func TestAssignIDs(t *testing.T) {
 // names dilute |t| without matching anything.
 func TestAssignByName(t *testing.T) {
 	m, _ := vocabModel(t)
-	s := New(m, Config{FlushEvery: time.Millisecond})
+	s := New(m, Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -169,7 +169,7 @@ func TestAssignByName(t *testing.T) {
 // a vocabless model, both representations at once, neither, negative
 // ids, and undecodable JSON — all 400s, all counted, none served.
 func TestAssignRejects(t *testing.T) {
-	s := New(rawModel(t, false), Config{FlushEvery: time.Millisecond})
+	s := New(rawModel(t, false), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -196,64 +196,6 @@ func TestAssignRejects(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing proves concurrent requests share one flush,
-// deterministically: with MaxBatch = n and a deadline too far to fire,
-// n−1 single-query submissions park in the open batch and the n-th
-// triggers the size flush — one AssignBatch call answers all n.
-func TestBatchCoalescing(t *testing.T) {
-	const n = 8
-	m := rawModel(t, false)
-	s := New(m, Config{MaxBatch: n, FlushEvery: time.Hour})
-
-	var wg sync.WaitGroup
-	results := make([][]int, n)
-	for i := 0; i < n-1; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lm := s.acquire()
-			defer lm.release()
-			results[i] = s.batch.submit(lm, []dataset.Transaction{dataset.NewTransaction(0, 1, 4)})
-		}(i)
-	}
-	for s.batch.pendingWaiters() != n-1 {
-		time.Sleep(time.Millisecond)
-	}
-	lm := s.acquire()
-	results[n-1] = s.batch.submit(lm, []dataset.Transaction{dataset.NewTransaction(0, 1, 4)})
-	lm.release()
-	wg.Wait()
-
-	for i, r := range results {
-		if len(r) != 1 || r[0] != 0 {
-			t.Fatalf("request %d answered %v, want [0]", i, r)
-		}
-	}
-	st := s.Stats()
-	if st.Batches != 1 {
-		t.Fatalf("%d flushes for %d concurrent requests; want 1", st.Batches, n)
-	}
-	if st.CoalescedBatches != 1 || st.MaxBatch != n || st.MeanBatch != n {
-		t.Fatalf("batch stats: %+v", st)
-	}
-}
-
-// TestFlushDeadline proves a lone request is not held hostage by a
-// never-filling batch: the deadline flush answers it.
-func TestFlushDeadline(t *testing.T) {
-	s := New(rawModel(t, false), Config{MaxBatch: 1 << 20, FlushEvery: 2 * time.Millisecond})
-	lm := s.acquire()
-	defer lm.release()
-	start := time.Now()
-	got := s.batch.submit(lm, []dataset.Transaction{dataset.NewTransaction(10, 11, 4)})
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("answered %v, want [1]", got)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("deadline flush took %v", waited)
-	}
-}
-
 // TestServeReloadDrain is the hot-swap contract under load, run under
 // -race in CI: mid-traffic, the model is swapped for one that answers
 // the same queries differently. Every request must complete (none
@@ -264,7 +206,7 @@ func TestFlushDeadline(t *testing.T) {
 func TestServeReloadDrain(t *testing.T) {
 	v1 := rawModel(t, false)
 	v2 := rawModel(t, true)
-	s := New(v1, Config{MaxBatch: 4, FlushEvery: 100 * time.Microsecond, DrainTimeout: 30 * time.Second})
+	s := New(v1, Config{MaxBatch: 4, DrainTimeout: 30 * time.Second})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -349,28 +291,20 @@ func TestServeReloadDrain(t *testing.T) {
 func TestSwapGenerationBoundary(t *testing.T) {
 	v1 := rawModel(t, false)
 	v2 := rawModel(t, true)
-	// Deadline far out: only the generation boundary can flush v1's batch,
-	// and only the size threshold can flush v2's.
-	s := New(v1, Config{MaxBatch: 2, FlushEvery: time.Hour, DrainTimeout: 30 * time.Second})
-
-	lm1 := s.acquire()
-	r1 := make(chan []int, 1)
-	go func() {
-		defer lm1.release()
-		r1 <- s.batch.submit(lm1, []dataset.Transaction{dataset.NewTransaction(0, 1, 4)})
-	}()
-	for s.batch.pendingWaiters() != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	// One slot, held open by a v1 blocker: v1's request must park, only
+	// the generation boundary can flush its batch, and only the size
+	// threshold can flush v2's.
+	s := New(v1, Config{MaxBatch: 2, Workers: 1, DrainTimeout: 30 * time.Second})
+	release, blocker := occupySlot(t, s)
+	r1 := submitAsync(s, dataset.NewTransaction(0, 1, 4))
+	waitFor(t, "v1's request to park", func() bool { return s.batch.pendingWaiters() == 1 })
 
 	swapped := make(chan bool)
 	go func() {
 		_, drained := s.Swap(v2)
 		swapped <- drained
 	}()
-	for s.Generation() != 2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the swap", func() bool { return s.Generation() == 2 })
 
 	// v1's parked request is still waiting; the first v2 submission must
 	// flush it rather than absorb into the same batch. Two queries reach
@@ -388,11 +322,15 @@ func TestSwapGenerationBoundary(t *testing.T) {
 	if len(got1) != 1 || got1[0] != 0 {
 		t.Fatalf("v1's parked request answered %v, want [0] (v1's order)", got1)
 	}
+	release()
+	if got := <-blocker; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("v1 blocker answered %v, want [1] (v1's order)", got)
+	}
 	if drained := <-swapped; !drained {
 		t.Fatal("swap did not report v1 drained")
 	}
-	if st := s.Stats(); st.Batches != 2 {
-		t.Fatalf("%d flushes; the generation boundary should force exactly 2", st.Batches)
+	if st := s.Stats(); st.Batches != 3 {
+		t.Fatalf("%d flushes; the blocker plus the generation boundary should make exactly 3", st.Batches)
 	}
 }
 
@@ -423,7 +361,7 @@ func TestReloadEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(v1, Config{ModelPath: defaultPath, FlushEvery: time.Millisecond})
+	s := New(v1, Config{ModelPath: defaultPath})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -474,7 +412,7 @@ func TestReloadEndpoint(t *testing.T) {
 
 // TestHealthzAndStats smokes the observability endpoints.
 func TestHealthzAndStats(t *testing.T) {
-	s := New(rawModel(t, false), Config{FlushEvery: time.Millisecond})
+	s := New(rawModel(t, false), Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

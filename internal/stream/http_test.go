@@ -43,12 +43,10 @@ var vocabStreamModel = sync.OnceValue(func() *core.Model {
 	return m
 })
 
-// newHTTPStreamer builds a streamer with the detector disabled and a
-// size-1 batch so every request flushes without clock advance.
+// newHTTPStreamer builds a streamer with the detector disabled.
 func newHTTPStreamer(t testing.TB) *Streamer {
 	t.Helper()
 	st, err := New(vocabStreamModel(), Config{
-		Serve:            serve.Config{MaxBatch: 1},
 		RefreshThreshold: 2, // the rate never reaches 2: detector off
 		Clock:            vclock.NewFake(time.Unix(0, 0)),
 	})
@@ -204,7 +202,7 @@ func TestIngestNamesInternsOnce(t *testing.T) {
 // requests under the cap keep working on the same streamer.
 func TestIngestBodyLimit(t *testing.T) {
 	st, err := New(vocabStreamModel(), Config{
-		Serve:            serve.Config{MaxBatch: 1, MaxBodyBytes: 256},
+		Serve:            serve.Config{MaxBodyBytes: 256},
 		RefreshThreshold: 2,
 		Clock:            vclock.NewFake(time.Unix(0, 0)),
 	})

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/rockclust/rock/internal/core"
-	"github.com/rockclust/rock/internal/serve"
 	"github.com/rockclust/rock/internal/vclock"
 )
 
@@ -44,7 +43,6 @@ func TestOutlierRetentionAcrossRefresh(t *testing.T) {
 			m := freezeRegime(t, g, 200, 4, 1)
 			st, err := New(m, Config{
 				Cluster:            core.Config{Theta: soakTheta, K: 6, Seed: 5},
-				Serve:              serve.Config{MaxBatch: 1},
 				Window:             16,
 				Warmup:             16,
 				MinRefreshOutliers: 16,
@@ -142,7 +140,6 @@ func TestRefreshCoalescerRunsFollowUp(t *testing.T) {
 	m := freezeRegime(t, g, 200, 4, 1)
 	st, err := New(m, Config{
 		Cluster:            core.Config{Theta: soakTheta, K: 6, Seed: 5},
-		Serve:              serve.Config{MaxBatch: 1},
 		Window:             16,
 		Warmup:             16,
 		MinRefreshOutliers: 16,

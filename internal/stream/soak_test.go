@@ -32,9 +32,8 @@ import (
 //
 // Time is a vclock.Fake and the detector counts points, so there are no
 // sleeps and no flakes: reruns are bit-identical. Ingest batches match
-// Serve.MaxBatch so every submit size-flushes without clock advance; the
-// deadline path gets its own coverage at the end, where a partial batch
-// is flushed purely by advancing the fake clock.
+// Serve.MaxBatch so every submit size-flushes; a partial batch gets its
+// own coverage at the end, flushed on a free slot during its submit.
 func TestStreamSoak(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(map[int]string{1: "workers=1", 4: "workers=4"}[workers], func(t *testing.T) {
@@ -56,7 +55,6 @@ func soak(t *testing.T, workers int) {
 		batchSize = 16
 		window    = 64
 	)
-	fake := vclock.NewFake(time.Unix(0, 0))
 
 	// Generation ledger: OnSwap registers every model that ever served, so
 	// replay can ask "what would generation g have answered?".
@@ -67,7 +65,7 @@ func soak(t *testing.T, workers int) {
 	m := freezeRegime(t, regA, 400, 4, workers)
 	st, err := New(m, Config{
 		Cluster:            core.Config{Theta: soakTheta, K: 8, Seed: 5, Workers: workers},
-		Serve:              serve.Config{MaxBatch: batchSize, FlushEvery: 50 * time.Millisecond, Workers: workers},
+		Serve:              serve.Config{MaxBatch: batchSize, Workers: workers},
 		RefreshThreshold:   0.5,
 		Window:             window,
 		Warmup:             window,
@@ -75,7 +73,7 @@ func soak(t *testing.T, workers int) {
 		OutlierBuffer:      256,
 		RetainSample:       256,
 		Seed:               7,
-		Clock:              fake,
+		Clock:              vclock.NewFake(time.Unix(0, 0)),
 		OnSwap: func(gen uint64, m *core.Model) {
 			genMu.Lock()
 			genModels[gen] = m
@@ -196,23 +194,12 @@ func soak(t *testing.T, workers int) {
 	t.Logf("quality: stream %.4f vs batch %.4f (ε=%.2f); detection delay %d points",
 		accStream, accBatch, eps, s2.LastTriggerSeen-changepoint)
 
-	// --- Deadline path: a partial batch (smaller than MaxBatch) must
-	// flush purely by virtual-clock advance, answered exactly once. ---
+	// --- Partial batch: smaller than MaxBatch, it flushes on a free slot
+	// during its own submit, answered exactly once. ---
 	partQs, _ := regB.batch(5)
-	done := make(chan IngestResult, 1)
-	go func() { done <- st.Ingest(partQs) }()
-	var part IngestResult
-	for received := false; !received; {
-		select {
-		case part = <-done:
-			received = true
-		default:
-			fake.Advance(50 * time.Millisecond)
-			time.Sleep(time.Millisecond)
-		}
-	}
+	part := st.Ingest(partQs)
 	if len(part.Assignments) != len(partQs) {
-		t.Fatalf("deadline flush answered %d of %d queries", len(part.Assignments), len(partQs))
+		t.Fatalf("partial batch answered %d of %d queries", len(part.Assignments), len(partQs))
 	}
 	records = append(records, soakBatch{qs: partQs, out: part.Assignments, genBefore: 2, gen: part.Generation})
 
@@ -264,7 +251,6 @@ func soakIncremental(t *testing.T, workers int) {
 		batchSize = 16
 		window    = 64
 	)
-	fake := vclock.NewFake(time.Unix(0, 0))
 
 	var genMu sync.Mutex
 	genModels := map[uint64]*core.Model{}
@@ -273,7 +259,7 @@ func soakIncremental(t *testing.T, workers int) {
 	m := freezeRegime(t, regA, 400, 4, workers)
 	st, err := New(m, Config{
 		Cluster:            core.Config{Theta: soakTheta, K: 8, Seed: 5, Workers: workers},
-		Serve:              serve.Config{MaxBatch: batchSize, FlushEvery: 50 * time.Millisecond, Workers: workers},
+		Serve:              serve.Config{MaxBatch: batchSize, Workers: workers},
 		RefreshThreshold:   0.5,
 		Window:             window,
 		Warmup:             window,
@@ -282,7 +268,7 @@ func soakIncremental(t *testing.T, workers int) {
 		RetainSample:       256,
 		Incremental:        true,
 		Seed:               7,
-		Clock:              fake,
+		Clock:              vclock.NewFake(time.Unix(0, 0)),
 		OnSwap: func(gen uint64, m *core.Model) {
 			genMu.Lock()
 			genModels[gen] = m

@@ -52,9 +52,9 @@ type Config struct {
 	// The measure must be (or default to) a built-in similarity — the
 	// refreshed model has to freeze.
 	Cluster core.Config
-	// Serve parameterizes the embedded serving stack (batch size, flush
-	// deadline, AssignBatch workers, drain timeout). Its Clock defaults
-	// to Config.Clock.
+	// Serve parameterizes the embedded serving stack (batch size,
+	// AssignBatch workers and concurrent flushes, drain timeout). Its
+	// Clock defaults to Config.Clock.
 	Serve serve.Config
 
 	// RefreshThreshold is the outlier-rate level that triggers a
@@ -99,7 +99,7 @@ type Config struct {
 	Seed int64
 
 	// Clock supplies all timing (nil = vclock.Real). Tests inject a
-	// vclock.Fake so the batcher deadlines and refresh bookkeeping are
+	// vclock.Fake so the latency and refresh bookkeeping are
 	// deterministic.
 	Clock vclock.Clock
 	// OnSwap, when set, is called once with the initial model at
@@ -622,9 +622,8 @@ func (s *Streamer) settleRingLocked(cutLen int) []dataset.Transaction {
 // readmitLocked runs the refresh-window survivors through the new
 // generation's θ-test: points the refreshed model places are admitted
 // (and offered to the reservoir), the rest re-park. The assignment goes
-// through the serve stack's direct path, not the coalescing batcher — a
-// partial batch would strand against a test-controlled clock, and there
-// is no concurrent traffic to amortize with. Survivors re-entering the
+// through the serve stack's batcher like any ingest; holding s.mu across
+// it is safe because flushes never take s.mu. Survivors re-entering the
 // ring do not re-count in Stats.Outliers (each parked point counts
 // once); the drift estimator is not fed either — it just reset, and
 // these are not new arrivals. Caller holds s.mu.
@@ -632,7 +631,7 @@ func (s *Streamer) readmitLocked(survivors []dataset.Transaction) {
 	if len(survivors) == 0 {
 		return
 	}
-	out, _ := s.srv.SubmitDirect(survivors)
+	out, _ := s.srv.Submit(survivors)
 	for i, ci := range out {
 		if ci >= 0 {
 			s.readmitted++

@@ -9,7 +9,6 @@ import (
 
 	"github.com/rockclust/rock/internal/core"
 	"github.com/rockclust/rock/internal/dataset"
-	"github.com/rockclust/rock/internal/serve"
 	"github.com/rockclust/rock/internal/vclock"
 )
 
@@ -72,7 +71,7 @@ func freezeRegime(t testing.TB, g *regimeGen, n, k, workers int) *core.Model {
 func TestIngestMatchesModel(t *testing.T) {
 	g := newRegime(0, 4, 11)
 	m := freezeRegime(t, g, 200, 4, 1)
-	st, err := New(m, Config{Serve: serve.Config{MaxBatch: 1}, Clock: vclock.NewFake(time.Unix(0, 0))})
+	st, err := New(m, Config{Clock: vclock.NewFake(time.Unix(0, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestIngestMatchesModel(t *testing.T) {
 func TestOutlierRingBounds(t *testing.T) {
 	g := newRegime(0, 4, 11)
 	m := freezeRegime(t, g, 200, 4, 1)
-	st, err := New(m, Config{Serve: serve.Config{MaxBatch: 1}, OutlierBuffer: 4, RefreshThreshold: 2, Clock: vclock.NewFake(time.Unix(0, 0))})
+	st, err := New(m, Config{OutlierBuffer: 4, RefreshThreshold: 2, Clock: vclock.NewFake(time.Unix(0, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func TestIngestNames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := New(m, Config{Serve: serve.Config{MaxBatch: 1}, RefreshThreshold: 2, Clock: vclock.NewFake(time.Unix(0, 0))})
+	st, err := New(m, Config{RefreshThreshold: 2, Clock: vclock.NewFake(time.Unix(0, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestIngestNames(t *testing.T) {
 	}
 
 	// Raw-id model: names rejected.
-	raw, err := New(freezeRegime(t, newRegime(0, 2, 11), 100, 2, 1), Config{Serve: serve.Config{MaxBatch: 1}, Clock: vclock.NewFake(time.Unix(0, 0))})
+	raw, err := New(freezeRegime(t, newRegime(0, 2, 11), 100, 2, 1), Config{Clock: vclock.NewFake(time.Unix(0, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,6 @@ func TestRefreshUsesLSH(t *testing.T) {
 	m := freezeRegime(t, g, 200, 2, 1)
 	st, err := New(m, Config{
 		Cluster:            core.Config{Theta: soakTheta, K: 4, Seed: 5},
-		Serve:              serve.Config{MaxBatch: 1},
 		Window:             16,
 		Warmup:             16,
 		MinRefreshOutliers: 16,
@@ -276,7 +274,6 @@ func TestRefreshFailureKeepsServing(t *testing.T) {
 		// MinNeighbors beyond any neighbor count: the refresh run prunes
 		// every point, clusters nothing, and Freeze must reject.
 		Cluster:            core.Config{Theta: soakTheta, K: 4, Seed: 5, MinNeighbors: 1 << 20},
-		Serve:              serve.Config{MaxBatch: 1},
 		Window:             16,
 		Warmup:             16,
 		MinRefreshOutliers: 8,

@@ -1,14 +1,12 @@
-// Package vclock abstracts the two time operations the serving and
-// streaming stacks perform — reading the current instant and scheduling a
-// callback — behind an injectable Clock, so that every timer-driven code
-// path (the coalescing batcher's flush deadline, the streamer's refresh
+// Package vclock abstracts time behind an injectable Clock — reading the
+// current instant and scheduling a callback — so that timed code paths
+// (the serving stack's latency stats, the streamer's refresh
 // bookkeeping) can run under a deterministic fake in tests.
 //
 // Real() returns the production clock backed by package time. NewFake
 // returns a manually advanced clock whose timers fire synchronously, in
 // deadline order, inside Advance — a test that advances the fake clock
-// observes exactly one interleaving, every run, which is what makes the
-// soak and deadline-pathology tests deterministic instead of sleep-raced.
+// observes exactly one interleaving, every run.
 package vclock
 
 import (

@@ -121,9 +121,9 @@ var (
 // a frozen Model with request coalescing and atomic hot-swap reload (the
 // machinery behind cmd/rockserve).
 type (
-	// ServeConfig parameterizes a Server (batch size, flush deadline,
-	// workers, drain timeout, reload path). The zero value uses the
-	// documented defaults.
+	// ServeConfig parameterizes a Server (batch size, workers, drain
+	// timeout, reload path). The zero value uses the documented
+	// defaults.
 	ServeConfig = serve.Config
 	// Server answers assignment traffic from a hot-swappable frozen
 	// model. Mount Server.Handler on any http.Server; Server.Swap or
