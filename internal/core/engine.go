@@ -49,6 +49,7 @@ type engineResult struct {
 type arena struct {
 	good GoodnessFunc
 	f    float64
+	pw   []float64 // rockPowTable over the arena's points; nil for custom goodness
 
 	alive []bool
 	id    []int32 // slot -> logical cluster id
@@ -140,6 +141,7 @@ func newArena(n int, lt *linkage.Compact, good GoodnessFunc, f float64) *arena {
 	a := &arena{
 		good:   good,
 		f:      f,
+		pw:     rockPowTable(good, f, n),
 		alive:  make([]bool, n),
 		id:     make([]int32, n),
 		size:   make([]int32, n),
@@ -163,7 +165,7 @@ func newArena(n int, lt *linkage.Compact, good GoodnessFunc, f float64) *arena {
 			backing = append(backing, linkEntry{to: int32(j), cnt: int32(cnt)})
 			// Ascending j, strict >: ties keep the smaller partner id,
 			// matching the reference heap's tie-break.
-			if g := good(cnt, 1, 1, f); bt < 0 || g > bg {
+			if g := a.goodness(int32(cnt), 1, 1); bt < 0 || g > bg {
 				bt, bg = int32(j), g
 			}
 		})
@@ -328,9 +330,19 @@ func (a *arena) collect(res *engineResult) {
 // byte-identical even for custom asymmetric ones.
 func (a *arena) pairGoodness(x, y, cnt int32) float64 {
 	if a.id[y] > a.id[x] {
-		return a.good(int(cnt), int(a.size[y]), int(a.size[x]), a.f)
+		return a.goodness(cnt, a.size[y], a.size[x])
 	}
-	return a.good(int(cnt), int(a.size[x]), int(a.size[y]), a.f)
+	return a.goodness(cnt, a.size[x], a.size[y])
+}
+
+// goodness scores a merge of clusters of sizes ni and nj over cnt cross
+// links: through the power table when there is one, else the arena's
+// goodness function.
+func (a *arena) goodness(cnt, ni, nj int32) float64 {
+	if a.pw != nil {
+		return rockGoodnessTable(a.pw, int(cnt), int(ni), int(nj))
+	}
+	return a.good(int(cnt), int(ni), int(nj), a.f)
 }
 
 // rescanBest recomputes slot x's cached best partner from its row: max

@@ -416,7 +416,7 @@ func (b *batcher) compute(c *mergeCand) {
 		x := eM.to
 		// The product carries the youngest id, so pairGoodness(x, w) puts
 		// the product's size first for every neighbor.
-		gw := a.good(int(eM.cnt), int(sizeW), int(a.size[x]), a.f)
+		gw := a.goodness(eM.cnt, sizeW, a.size[x])
 		oldTo, oldG := a.bestTo[x], a.bestG[x]
 		if oldTo == u || oldTo == v {
 			bt, bg := b.rescanWith(x, u, v, w, gw)
@@ -436,7 +436,7 @@ func (b *batcher) compute(c *mergeCand) {
 	// the smaller logical id — rescanBest on the row the commit installs.
 	bt, bg, bid := int32(-1), 0.0, int32(0)
 	for _, eM := range c.merged {
-		g := a.good(int(eM.cnt), int(sizeW), int(a.size[eM.to]), a.f)
+		g := a.goodness(eM.cnt, sizeW, a.size[eM.to])
 		if bt < 0 || g > bg || (g == bg && a.id[eM.to] < bid) {
 			bt, bg, bid = eM.to, g, a.id[eM.to]
 		}

@@ -23,10 +23,19 @@
 // so merging is two pointer writes. Each slot caches its best merge
 // partner (bestTo/bestG); the global lazy heap orders slots by that
 // cached best, tie-breaking on logical id.
+//
+// Power table: a cluster size never exceeds the points the arena was
+// built over, so when the goodness function is RockGoodness the arena
+// fills pw[s] = s^(1+2f) for every size s ≤ n once and evaluates each
+// candidate merge as links / (pw[ni+nj] − pw[ni] − pw[nj]) — the same
+// three math.Pow values RockGoodness computes, read instead of
+// recomputed, so every goodness float is bit-identical. Custom
+// GoodnessFuncs (and the reference engine) keep the generic call.
 package core
 
 import (
 	"math"
+	"reflect"
 
 	"github.com/rockclust/rock/internal/linkage"
 )
@@ -65,6 +74,34 @@ func RockGoodness(links int, ni, nj int, f float64) float64 {
 	if denom <= 0 {
 		// exp ≤ 1 can produce a non-positive expectation; fall back to the
 		// raw link count so merging still prefers strongly linked pairs.
+		return float64(links)
+	}
+	return float64(links) / denom
+}
+
+// rockPowTable returns pw with pw[s] = s^(1+2f) for s in [0, n] when
+// good is RockGoodness, and nil for any other function. Identification
+// compares code pointers, as similarity.Counted does for measures.
+func rockPowTable(good GoodnessFunc, f float64, n int) []float64 {
+	if reflect.ValueOf(good).Pointer() != reflect.ValueOf(RockGoodness).Pointer() {
+		return nil
+	}
+	exp := 1 + 2*f
+	pw := make([]float64, n+1)
+	for s := range pw {
+		pw[s] = math.Pow(float64(s), exp)
+	}
+	return pw
+}
+
+// rockGoodnessTable is RockGoodness with the three powers read from a
+// rockPowTable; ni+nj must lie within the table.
+func rockGoodnessTable(pw []float64, links, ni, nj int) float64 {
+	if links == 0 {
+		return 0
+	}
+	denom := pw[ni+nj] - pw[ni] - pw[nj]
+	if denom <= 0 {
 		return float64(links)
 	}
 	return float64(links) / denom

@@ -127,15 +127,16 @@ func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Phase 1: sample.
-	sample := make([]int, n)
-	for i := range sample {
-		sample[i] = i
-	}
-	sampled := false
-	if cfg.SampleSize > 0 && cfg.SampleSize < n {
+	var sample []int
+	sampled := cfg.SampleSize > 0 && cfg.SampleSize < n
+	if sampled {
 		sample = SampleIndices(n, cfg.SampleSize, rng)
-		sampled = true
 		res.SampleIdx = sample
+	} else {
+		sample = make([]int, n)
+		for i := range sample {
+			sample[i] = i
+		}
 	}
 	res.Stats.Sampled = len(sample)
 	local := make([]dataset.Transaction, len(sample))
@@ -224,51 +225,76 @@ func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
 	// inverted-index labeler sharded across cfg.Workers (pairwise
 	// fallback for custom measures; assignments byte-identical to the
 	// serial pairwise reference either way).
-	var candidates []int
+	candidates := make([]int, 0, n-len(sample))
 	if sampled {
-		inSample := make([]bool, n)
-		for _, j := range sample {
-			inSample[j] = true
-		}
+		// sample is ascending, so the points outside it come out ascending.
+		j := 0
 		for p := 0; p < n; p++ {
-			if !inSample[p] {
-				candidates = append(candidates, p)
+			if j < len(sample) && sample[j] == p {
+				j++
+				continue
 			}
+			candidates = append(candidates, p)
 		}
 	}
-	if cfg.LabelOutliers {
+	if cfg.LabelOutliers && len(res.Outliers) > 0 {
 		candidates = append(candidates, res.Outliers...)
 		res.Outliers = nil
+		sort.Ints(candidates)
 	}
-	sort.Ints(candidates)
 	res.Stats.LabelCandidates = len(candidates)
-	if len(candidates) > 0 {
-		if len(res.Clusters) == 0 {
-			res.Stats.Unlabeled += len(candidates)
-			res.Outliers = append(res.Outliers, candidates...)
-		} else {
-			sets := labelSets(res.Clusters, cfg, rng)
-			res.LabelSets = sets
-			assign := labelCandidates(ts, candidates, sets, cfg)
-			for i, p := range candidates {
-				ci := assign[i]
-				if ci < 0 {
-					res.Stats.Unlabeled++
-					res.Outliers = append(res.Outliers, p)
-					continue
-				}
+	if len(candidates) == 0 {
+		sort.Ints(res.Outliers)
+		return res, nil
+	}
+	if len(res.Clusters) > 0 {
+		// labelSets draws from the sample-only clusters; the member lists
+		// are rebuilt from Assign once labeling has filled it in.
+		sets := labelSets(res.Clusters, cfg, rng)
+		res.LabelSets = sets
+		assign := labelCandidates(ts, candidates, sets, cfg)
+		for i, p := range candidates {
+			if ci := assign[i]; ci >= 0 {
 				res.Stats.Labeled++
 				res.Assign[p] = ci
-				res.Clusters[ci] = append(res.Clusters[ci], p)
-			}
-			for _, c := range res.Clusters {
-				sort.Ints(c)
 			}
 		}
 	}
-
-	sort.Ints(res.Outliers)
+	res.Stats.Unlabeled = len(candidates) - res.Stats.Labeled
+	res.Clusters, res.Outliers = partitionAssign(res.Assign, len(res.Clusters))
 	return res, nil
+}
+
+// partitionAssign rebuilds the member lists from an assignment in one
+// ascending pass: clusters[ci] is the ascending {p : assign[p] == ci} and
+// outliers the ascending {p : assign[p] == -1}. The clusters share one
+// backing array, each capacity-clamped to its own region.
+func partitionAssign(assign []int, k int) (clusters [][]int, outliers []int) {
+	sizes := make([]int, k)
+	nout := 0
+	for _, ci := range assign {
+		if ci < 0 {
+			nout++
+		} else {
+			sizes[ci]++
+		}
+	}
+	backing := make([]int, len(assign)-nout)
+	clusters = make([][]int, k)
+	off := 0
+	for ci, sz := range sizes {
+		clusters[ci] = backing[off : off : off+sz]
+		off += sz
+	}
+	outliers = make([]int, 0, nout)
+	for p, ci := range assign {
+		if ci < 0 {
+			outliers = append(outliers, p)
+		} else {
+			clusters[ci] = append(clusters[ci], p)
+		}
+	}
+	return clusters, outliers
 }
 
 // pruneByDegree splits points into those with at least minNeighbors

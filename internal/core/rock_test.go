@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rockclust/rock/internal/dataset"
@@ -320,5 +321,76 @@ func TestStatsFoldLSHWeightsRecall(t *testing.T) {
 	}
 	if want := (1.0*60 + 0.6*20) / 80; s.LSHRecall < want-1e-12 || s.LSHRecall > want+1e-12 {
 		t.Fatalf("recall = %g, want weighted mean %g", s.LSHRecall, want)
+	}
+}
+
+// TestClusterResultMatchesAssign pins the shape Cluster builds its
+// result in: Outliers is exactly the ascending {p : Assign[p] == -1},
+// Clusters[ci] the ascending {p : Assign[p] == ci}, and growing one
+// cluster's slice never writes into another's. Runs cover sampled and
+// unsampled inputs, LabelOutliers, pruning and weeding, and inputs where
+// no cluster forms.
+func TestClusterResultMatchesAssign(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var disjoint []dataset.Transaction
+	for i := 0; i < 40; i++ {
+		disjoint = append(disjoint, dataset.NewTransaction(dataset.Item(2*i), dataset.Item(2*i+1)))
+	}
+	for trial := 0; trial < 40; trial++ {
+		ts, _ := groupedData(2+r.Intn(3), 20+r.Intn(40), int64(trial))
+		if trial%8 == 7 {
+			ts = disjoint
+		}
+		cfg := Config{
+			Theta:         0.2 + 0.4*r.Float64(),
+			K:             1 + r.Intn(4),
+			Seed:          int64(trial),
+			MinNeighbors:  r.Intn(3),
+			LabelOutliers: r.Intn(2) == 0,
+		}
+		if r.Intn(3) > 0 {
+			cfg.SampleSize = 5 + r.Intn(len(ts))
+		}
+		if r.Intn(2) == 0 {
+			cfg.WeedAt = 0.5
+		}
+		if trial%8 == 7 {
+			cfg.MinNeighbors = 1 // every point pruned: no cluster forms
+		}
+		res, err := Cluster(ts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOut := []int{}
+		wantClusters := make([][]int, len(res.Clusters))
+		for p, ci := range res.Assign {
+			if ci < 0 {
+				wantOut = append(wantOut, p)
+			} else {
+				wantClusters[ci] = append(wantClusters[ci], p)
+			}
+		}
+		if trial%8 == 7 && len(res.Clusters) != 0 {
+			t.Fatalf("trial %d: disjoint input formed %d clusters", trial, len(res.Clusters))
+		}
+		if !slices.Equal(res.Outliers, wantOut) {
+			t.Fatalf("trial %d: Outliers %v, want %v", trial, res.Outliers, wantOut)
+		}
+		for ci := range res.Clusters {
+			if len(res.Clusters[ci]) == 0 || !slices.Equal(res.Clusters[ci], wantClusters[ci]) {
+				t.Fatalf("trial %d: Clusters[%d] = %v, want %v", trial, ci, res.Clusters[ci], wantClusters[ci])
+			}
+		}
+		if s := res.Stats; s.LabelCandidates != s.Labeled+s.Unlabeled {
+			t.Fatalf("trial %d: ledger %d != %d + %d", trial, s.LabelCandidates, s.Labeled, s.Unlabeled)
+		}
+		for ci := range res.Clusters {
+			_ = append(res.Clusters[ci], -7)
+		}
+		for ci := range res.Clusters {
+			if !slices.Equal(res.Clusters[ci], wantClusters[ci]) {
+				t.Fatalf("trial %d: appending to a cluster changed Clusters[%d]", trial, ci)
+			}
+		}
 	}
 }

@@ -8,20 +8,31 @@ import (
 
 // SampleIndices draws size indices uniformly without replacement from
 // [0,n), returned in ascending order. If size ≥ n it returns all indices.
+//
+// It runs a partial Fisher–Yates shuffle over the identity permutation of
+// [0,n) without materializing it: only positions a swap has displaced are
+// stored, so memory is O(size) however large n is.
 func SampleIndices(n, size int, rng *rand.Rand) []int {
 	if size >= n {
 		size = n
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	out := make([]int, size)
+	// displaced[j] is perm[j] for every position a swap has written;
+	// other positions still hold their identity value j.
+	displaced := make(map[int]int, size)
+	at := func(j int) int {
+		if v, ok := displaced[j]; ok {
+			return v
+		}
+		return j
 	}
-	// Partial Fisher–Yates: the first `size` entries are a uniform sample.
+	// The first `size` entries of the shuffled permutation are a uniform
+	// sample; position i is never read again once drawn.
 	for i := 0; i < size; i++ {
 		j := i + rng.Intn(n-i)
-		perm[i], perm[j] = perm[j], perm[i]
+		out[i] = at(j)
+		displaced[j] = at(i)
 	}
-	out := perm[:size]
 	sort.Ints(out)
 	return out
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -100,5 +102,49 @@ func TestChernoffSampleSize(t *testing.T) {
 	// Sanity: the bound is at least the expected count frac·u scaled up.
 	if got := ChernoffSampleSize(1000, 100, 0.5, 0.05); got < 500 {
 		t.Fatalf("bound %d implausibly small", got)
+	}
+}
+
+// sampleIndicesDense is the partial Fisher–Yates shuffle over a
+// materialized permutation of [0,n): the oracle SampleIndices must match
+// draw for draw.
+func sampleIndicesDense(n, size int, rng *rand.Rand) []int {
+	if size >= n {
+		size = n
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := 0; i < size; i++ {
+		j := i + rng.Intn(n-i)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	out := perm[:size]
+	sort.Ints(out)
+	return out
+}
+
+// TestSampleIndicesMatchesDense checks the sparse shuffle against the
+// dense oracle across n, size and seeds: identical samples, and the same
+// number of draws, so a caller's rng continues identically afterwards.
+func TestSampleIndicesMatchesDense(t *testing.T) {
+	ns := []int{0, 1, 2, 3, 7, 50, 1000, 20000}
+	for _, n := range ns {
+		for _, size := range []int{0, 1, 2, n / 3, n / 2, n - 1, n, n + 5} {
+			if size < 0 {
+				continue
+			}
+			for seed := int64(1); seed <= 4; seed++ {
+				ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got, want := SampleIndices(n, size, ra), sampleIndicesDense(n, size, rb)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d size=%d seed=%d: got %v, want %v", n, size, seed, got, want)
+				}
+				if ra.Int63() != rb.Int63() {
+					t.Fatalf("n=%d size=%d seed=%d: rng streams diverged after the draw", n, size, seed)
+				}
+			}
+		}
 	}
 }

@@ -259,6 +259,7 @@ func newArenaSeeded(members [][]int32, npts int, lt *linkage.Compact, good Goodn
 	a := &arena{
 		good:   good,
 		f:      f,
+		pw:     rockPowTable(good, f, npts),
 		alive:  make([]bool, m),
 		id:     make([]int32, m),
 		size:   make([]int32, m),

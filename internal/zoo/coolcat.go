@@ -48,6 +48,9 @@ type coolcatState struct {
 	counts []map[string]int // cluster*width + attr
 	slnl   []float64        // Σ_v count·ln(count) per cluster*width+attr
 	sizes  []int
+	// xl[x] is xlnx(x). Sizes and value counts never exceed the n
+	// records of one Fit, so every x·ln x the state needs is a lookup.
+	xl []float64
 }
 
 // xlnx returns x·ln(x) with the 0·ln 0 = 0 convention.
@@ -58,15 +61,21 @@ func xlnx(x int) float64 {
 	return float64(x) * math.Log(float64(x))
 }
 
-func newCoolcatState(k, width int) *coolcatState {
+// newCoolcatState returns an empty state for k clusters over records of
+// the given width, n records in all.
+func newCoolcatState(k, width, n int) *coolcatState {
 	st := &coolcatState{
 		width:  width,
 		counts: make([]map[string]int, k*width),
 		slnl:   make([]float64, k*width),
 		sizes:  make([]int, k),
+		xl:     make([]float64, n+1),
 	}
 	for i := range st.counts {
 		st.counts[i] = map[string]int{}
+	}
+	for x := range st.xl {
+		st.xl[x] = xlnx(x)
 	}
 	return st
 }
@@ -77,11 +86,11 @@ func newCoolcatState(k, width int) *coolcatState {
 // cv·ln cv), summed over attributes — an O(width) exact evaluation.
 func (st *coolcatState) deltaEntropy(c int, rec dataset.Record) float64 {
 	s := st.sizes[c]
-	sizeTerm := xlnx(s+1) - xlnx(s)
+	sizeTerm := st.xl[s+1] - st.xl[s]
 	d := 0.0
 	for a := 0; a < st.width; a++ {
 		cv := st.counts[c*st.width+a][recVal(rec, a)]
-		d += sizeTerm - (xlnx(cv+1) - xlnx(cv))
+		d += sizeTerm - (st.xl[cv+1] - st.xl[cv])
 	}
 	return d
 }
@@ -98,7 +107,7 @@ func (st *coolcatState) add(c int, rec dataset.Record) {
 	for a := 0; a < st.width; a++ {
 		m := st.counts[c*st.width+a]
 		v := recVal(rec, a)
-		st.slnl[c*st.width+a] += xlnx(m[v]+1) - xlnx(m[v])
+		st.slnl[c*st.width+a] += st.xl[m[v]+1] - st.xl[m[v]]
 		m[v]++
 	}
 	st.sizes[c]++
@@ -108,7 +117,7 @@ func (st *coolcatState) remove(c int, rec dataset.Record) {
 	for a := 0; a < st.width; a++ {
 		m := st.counts[c*st.width+a]
 		v := recVal(rec, a)
-		st.slnl[c*st.width+a] += xlnx(m[v]-1) - xlnx(m[v])
+		st.slnl[c*st.width+a] += st.xl[m[v]-1] - st.xl[m[v]]
 		m[v]--
 		if m[v] == 0 {
 			delete(m, v)
@@ -143,7 +152,7 @@ func (st *coolcatState) entropyCost() float64 {
 	k := len(st.sizes)
 	for c := 0; c < k; c++ {
 		for a := 0; a < st.width; a++ {
-			total += xlnx(st.sizes[c]) - st.slnl[c*st.width+a]
+			total += st.xl[st.sizes[c]] - st.slnl[c*st.width+a]
 		}
 	}
 	return total
@@ -192,7 +201,7 @@ func (e *COOLCATEngine) Fit(d *dataset.Dataset, cfg Config) (*Result, error) {
 	seeds := coolcatSeeds(records, sampleIdx, k)
 	k = len(seeds)
 
-	st := newCoolcatState(k, width)
+	st := newCoolcatState(k, width, n)
 	assign := make([]int, n)
 	isSeed := make(map[int]bool, k)
 	for c, p := range seeds {

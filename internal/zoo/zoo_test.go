@@ -64,7 +64,7 @@ func TestCoolcatDeltaAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		records := randomRecords(rng, 20, width, 3)
 		k := 2 + rng.Intn(3)
-		st := newCoolcatState(k, width)
+		st := newCoolcatState(k, width, len(records))
 		assign := make([]int, len(records))
 		for p, rec := range records[:15] {
 			assign[p] = rng.Intn(k)
