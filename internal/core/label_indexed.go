@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -30,16 +32,28 @@ import (
 // then a neighbor) take the pairwise fallback automatically; the choice
 // never changes results, only cost.
 //
+// Block postings and bit-sliced counters: the labeled points are numbered
+// in set order, so one cluster's points share a few 64-point blocks. An
+// item's posting list holds (block, mask) entries, one bit per labeled
+// point holding the item, and the counters are bit-sliced: bit j of plane
+// p is bit p of the count for point 64·block+j. Adding a posting entry is
+// a ripple-carry add of its mask into the block's planes, so one word
+// operation counts up to 64 points. A point holding an item twice gets a
+// second entry, never a merged bit, so every count equals the scalar
+// |t ∩ q| with its multiplicity.
+//
 // Integer thresholds: for fixed lengths each built-in counted measure is
 // non-decreasing in c on 0 ≤ c ≤ min(|t|,|q|) — the numerator grows, the
 // denominator is fixed (Dice, Cosine, Overlap) or shrinks (Jaccard), and
 // IEEE division and sqrt are monotone. So cm(c,|t|,|q|) ≥ θ is exactly
 // c ≥ need, the smallest passing c, found once by evaluating cm itself.
-// A needRow holds that threshold for one candidate length against every
-// length class of the labeled points; rows are derived on first use and
-// never serialized. A canonical candidate (strictly ascending items, as
-// every reader and NewTransaction produce) has c ≤ min(|t|,|q|); one
-// that is not, or one longer than the cached range, takes the float test.
+// A needRow holds that threshold for one candidate length, bit-sliced per
+// block like the counters, and c ≥ need is decided for 64 points at once
+// by a bit-sliced compare. Rows are derived on first use and never
+// serialized. A canonical candidate (strictly ascending items, as every
+// reader and NewTransaction produce) has c ≤ min(|t|,|q|); one that is
+// not, or one longer than the cached range, takes the float test on each
+// nonzero counter.
 type labeler struct {
 	ts    []dataset.Transaction
 	sets  [][]int // L_i per cluster, dataset-global indices
@@ -54,31 +68,55 @@ type labeler struct {
 	// Indexed path (indexed == false ⇒ pairwise fallback).
 	indexed  bool
 	cm       similarity.CountedMeasure
-	ptSet    []int32   // flattened labeled points: owning cluster index
-	ptCls    []int32   // flattened labeled points: length class of |q|
-	clsLen   []int32   // length class → |q|, ascending
-	postings [][]int32 // item → flattened labeled-point ids holding it
+	ptSet    []int32     // flattened labeled points: owning cluster index
+	ptCls    []int32     // flattened labeled points: length class of |q|
+	clsLen   []int32     // length class → |q|, ascending
+	postings [][]posting // item → block entries of the labeled points holding it
 
 	// postingsMap replaces the dense postings array when the labeled
 	// points' item ids are sparse: the dense array is sized by the MAX id,
 	// so a single huge id (legal in a FreezeSets call, and reachable from
 	// a checksummed-but-mutated model file) would balloon it far past the
 	// data. Non-nil ⇔ postings is nil; the lookup is the only difference.
-	postingsMap map[dataset.Item][]int32
+	postingsMap map[dataset.Item][]posting
+
+	// nblocks is the number of 64-point blocks the labeled points fill.
+	// width is the plane count for canonical candidates, bits.Len(max|q|+1):
+	// their counts are at most max|q| and their needs at most max|q|+1.
+	// maxMult is the most times one item occurs in one labeled point (1
+	// when every labeled point is canonical); it bounds the counts of
+	// non-canonical candidates.
+	nblocks int
+	width   int
+	maxMult int
 
 	// need[|t|] is the lazily built needRow for candidates of length |t|;
 	// its length bounds the cached range (see lengthClasses).
 	need []atomic.Pointer[needRow]
 }
 
-// needRow maps a labeled point's length class to the smallest
-// intersection size that passes the θ-test against a candidate of one
-// fixed length; min(|t|,|q|)+1 when none does.
-type needRow []int32
+// posting is one block entry of an item's posting list: bit j of mask
+// marks labeled point 64·block+j as holding the item.
+type posting struct {
+	block int32
+	mask  uint64
+}
 
-// needRowBudget caps the int32 entries all cached rows may hold
-// together, so a labeler over many distinct long lengths stays bounded.
-const needRowBudget = 1 << 20
+// needRow is the threshold for candidates of one fixed length, bit-sliced
+// per block: bit j of planes[b·width+p] is bit p of the smallest passing
+// intersection size for point 64·b+j (min(|t|,|q|)+1 when none passes).
+// live is the decidable mask: live[b] marks the points of block b whose
+// need is within reach of a canonical candidate's count, so a block whose
+// counted points are all dead is decided without the compare.
+type needRow struct {
+	live   []uint64
+	planes []uint64
+}
+
+// needBudget caps the words all cached rows of one labeler may hold
+// together (4 MiB), so a labeler over many distinct long lengths and many
+// labeled points stays bounded; longer candidates take the float test.
+const needBudget = 1 << 19
 
 // newLabeler prepares the labeling phase for the given cluster subsets.
 // A nil sim selects Jaccard, mirroring Config.withDefaults.
@@ -107,12 +145,14 @@ func newLabeler(ts []dataset.Transaction, sets [][]int, theta, f float64, sim si
 	nitems := 0
 	occurrences := 0
 	maxLen := 0
+	lb.maxMult = 1
 	for i, li := range sets {
 		for _, q := range li {
 			ptGlobal = append(ptGlobal, int32(q))
 			lb.ptSet = append(lb.ptSet, int32(i))
 			occurrences += len(ts[q])
 			maxLen = max(maxLen, len(ts[q]))
+			lb.maxMult = max(lb.maxMult, maxMultiplicity(ts[q]))
 			for _, it := range ts[q] {
 				if int(it) >= nitems {
 					nitems = int(it) + 1
@@ -120,6 +160,8 @@ func newLabeler(ts []dataset.Transaction, sets [][]int, theta, f float64, sim si
 			}
 		}
 	}
+	lb.nblocks = (npts + 63) / 64
+	lb.width = bits.Len(uint(maxLen + 1))
 	lb.lengthClasses(ptGlobal, maxLen)
 	// Dense array when the id space is within a small factor of the data
 	// it indexes (always true for vocabulary-interned ids); map otherwise,
@@ -128,27 +170,71 @@ func newLabeler(ts []dataset.Transaction, sets [][]int, theta, f float64, sim si
 	// at it. The two lookups return the same lists, so the choice is
 	// invisible to results.
 	if nitems <= 4*occurrences+1024 {
-		lb.postings = make([][]int32, nitems)
+		lb.postings = make([][]posting, nitems)
 		for pid, q := range ptGlobal {
 			for _, it := range ts[q] {
-				lb.postings[it] = append(lb.postings[it], int32(pid))
+				lb.postings[it] = addPosting(lb.postings[it], pid)
 			}
 		}
 	} else {
-		lb.postingsMap = make(map[dataset.Item][]int32, occurrences)
+		lb.postingsMap = make(map[dataset.Item][]posting, occurrences)
 		for pid, q := range ptGlobal {
 			for _, it := range ts[q] {
-				lb.postingsMap[it] = append(lb.postingsMap[it], int32(pid))
+				lb.postingsMap[it] = addPosting(lb.postingsMap[it], pid)
 			}
 		}
 	}
 	return lb
 }
 
+// addPosting appends labeled point pid to a posting list built in
+// ascending pid order: its bit joins the last entry when that entry is
+// for pid's block and does not hold the bit yet, else a new entry starts.
+// A point holding the item twice thus gets two entries, one count each.
+func addPosting(list []posting, pid int) []posting {
+	b, bit := int32(pid>>6), uint64(1)<<(pid&63)
+	if n := len(list); n > 0 && list[n-1].block == b && list[n-1].mask&bit == 0 {
+		list[n-1].mask |= bit
+		return list
+	}
+	return append(list, posting{block: b, mask: bit})
+}
+
+// maxMultiplicity returns the most times one item occurs in t, and 1
+// for any canonical transaction.
+func maxMultiplicity(t dataset.Transaction) int {
+	if canonicalItems(t) {
+		return 1
+	}
+	s := slices.Clone(t)
+	slices.Sort(s)
+	best, run := 1, 1
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			run++
+			best = max(best, run)
+		} else {
+			run = 1
+		}
+	}
+	return best
+}
+
+// canonicalItems reports whether t's items are strictly ascending.
+func canonicalItems(t dataset.Transaction) bool {
+	for i := 1; i < len(t); i++ {
+		if t[i] <= t[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // lengthClasses numbers the labeled points' distinct lengths in
 // ascending order, records each point's class, and sizes the row cache:
-// rows for candidate lengths up to 4·max|q|+64, fewer when the classes
-// are many, so the cache holds about needRowBudget entries at most.
+// rows for candidate lengths up to 4·max|q|+64, fewer when the labeled
+// points fill many blocks, so all cached rows hold needBudget words at
+// most.
 func (lb *labeler) lengthClasses(ptGlobal []int32, maxLen int) {
 	cls := make([]int32, maxLen+1)
 	for _, q := range ptGlobal {
@@ -164,27 +250,53 @@ func (lb *labeler) lengthClasses(ptGlobal []int32, maxLen int) {
 	for pid, q := range ptGlobal {
 		lb.ptCls[pid] = cls[len(lb.ts[q])]
 	}
-	rows := min(4*maxLen+64, needRowBudget/max(len(lb.clsLen), 1))
-	lb.need = make([]atomic.Pointer[needRow], rows+1)
+	rowWords := lb.nblocks * (lb.width + 1) // a live mask and width planes per block
+	lb.need = make([]atomic.Pointer[needRow], min(4*maxLen+65, needBudget/max(rowWords, 1)))
 }
 
 // needRowFor returns the threshold row for candidates of length lt,
 // building it on first use; nil when lt is past the cached range. Two
 // goroutines racing on a new length build identical rows and the first
 // store wins, so a row is allocated once per labeler, never per query.
-func (lb *labeler) needRowFor(lt int) needRow {
+func (lb *labeler) needRowFor(lt int) *needRow {
 	if lt >= len(lb.need) {
 		return nil
 	}
 	if r := lb.need[lt].Load(); r != nil {
-		return *r
+		return r
 	}
-	row := make(needRow, len(lb.clsLen))
+	lb.need[lt].CompareAndSwap(nil, lb.buildNeedRow(lt))
+	return lb.need[lt].Load()
+}
+
+// buildNeedRow derives the bit-sliced row for candidate length lt from
+// minPassing per length class. A canonical candidate's count for q is at
+// most min(lt,|q|) when q holds no item twice, and at most |q| otherwise;
+// a point whose need is past that reach is left out of live.
+func (lb *labeler) buildNeedRow(lt int) *needRow {
+	need := make([]int32, len(lb.clsLen))
+	reach := make([]int32, len(lb.clsLen))
 	for ci, lq := range lb.clsLen {
-		row[ci] = int32(minPassing(lb.cm, lt, int(lq), lb.theta))
+		need[ci] = int32(minPassing(lb.cm, lt, int(lq), lb.theta))
+		reach[ci] = lq
+		if lb.maxMult == 1 {
+			reach[ci] = min(int32(lt), lq)
+		}
 	}
-	lb.need[lt].CompareAndSwap(nil, &row)
-	return *lb.need[lt].Load()
+	w := lb.width
+	row := &needRow{live: make([]uint64, lb.nblocks), planes: make([]uint64, lb.nblocks*w)}
+	for pid, ci := range lb.ptCls {
+		b, bit := pid>>6, uint64(1)<<(pid&63)
+		if need[ci] <= reach[ci] {
+			row.live[b] |= bit
+		}
+		for p := range w {
+			if need[ci]>>p&1 != 0 {
+				row.planes[b*w+p] |= bit
+			}
+		}
+	}
+	return row
 }
 
 // minPassing returns the smallest c in [1, min(lt,lq)] with
@@ -196,21 +308,35 @@ func minPassing(cm similarity.CountedMeasure, lt, lq int, theta float64) int {
 	return 1 + sort.Search(hi, func(i int) bool { return cm(i+1, lt, lq) >= theta })
 }
 
-// labelScratch is one worker's reusable per-candidate state: intersection
-// counters over the flattened labeled points and θ-neighbor counters over
-// the sets, each paired with a touched list so clearing costs O(touched),
-// not O(total).
+// countWidth is the plane count that holds every count of a candidate
+// of length lt whose items may repeat: each of its items adds at most
+// mult to one point's count. Capped at 32 planes: a count past 2³²
+// takes a candidate of billions of items.
+func countWidth(lt, mult int) int {
+	if lt > math.MaxUint32/mult {
+		return 32
+	}
+	return min(bits.Len(uint(lt*mult)), 32)
+}
+
+// labelScratch is one worker's reusable per-candidate state: bit-sliced
+// intersection counters over the labeled points' blocks and θ-neighbor
+// counters over the sets, each paired with a touched list so clearing
+// costs O(touched), not O(total).
 type labelScratch struct {
-	counts      []int32 // per flattened labeled point: |t ∩ q| so far
-	touched     []int32 // flattened ids with counts > 0, then one spare slot
+	// words holds stride = width+1 words per block while a candidate is
+	// counted: the occupancy word (points with a nonzero count), then the
+	// count planes. It is all zero between candidates.
+	words       []uint64
+	blocks      []int32 // blocks with a nonzero count
 	setN        []int32 // per set: θ-neighbors of the candidate found
 	touchedSets []int32 // sets with setN > 0
 }
 
 func (lb *labeler) newScratch() *labelScratch {
 	return &labelScratch{
-		counts:      make([]int32, len(lb.ptSet)),
-		touched:     make([]int32, len(lb.ptSet)+1),
+		words:       make([]uint64, lb.nblocks*(lb.width+1)),
+		blocks:      make([]int32, 0, lb.nblocks),
 		setN:        make([]int32, len(lb.sets)),
 		touchedSets: make([]int32, 0, len(lb.sets)),
 	}
@@ -228,23 +354,27 @@ func (lb *labeler) label(t dataset.Transaction, sc *labelScratch) int {
 
 // labelIndexed is the index-driven scoring pass for one candidate.
 func (lb *labeler) labelIndexed(t dataset.Transaction, sc *labelScratch) int {
-	// Accumulate |t ∩ q| for every labeled point q sharing an item.
-	// Items outside the postings range — above it, or negative (invalid
-	// per the data model, but the pairwise reference tolerates them in
-	// candidates) — occur in no labeled point and cannot contribute.
-	//
-	// The first touch of a point is recorded without a branch: pid is
-	// written to the next touched slot on every hit, and the slot is kept
-	// (nt advances) only when the count was 0 — uint32(c-1)>>31 is 1
-	// exactly then. touched has one spare slot for the final overwrite.
-	counts, touched := sc.counts, sc.touched
-	nt := 0
-	canonical := true
-	var prev dataset.Item
-	for i, it := range t {
-		canonical = canonical && (i == 0 || it > prev)
-		prev = it
-		var plist []int32
+	canonical := canonicalItems(t)
+	width := lb.width
+	if !canonical {
+		width = countWidth(len(t), lb.maxMult)
+	}
+	stride := width + 1
+	if n := lb.nblocks * stride; len(sc.words) < n {
+		sc.words = make([]uint64, n)
+	}
+	words, blocks := sc.words, sc.blocks
+
+	// Accumulate |t ∩ q| for every labeled point q sharing an item, one
+	// ripple-carry add per block entry. Items outside the postings range
+	// — above it, or negative (invalid per the data model, but the
+	// pairwise reference tolerates them in candidates) — occur in no
+	// labeled point and cannot contribute. The carry cannot pass the top
+	// plane, since width holds every count this candidate can reach; the
+	// bound on p matters only past the 32-plane cap, which takes a
+	// candidate of billions of items.
+	for _, it := range t {
+		var plist []posting
 		if lb.postings != nil {
 			if it < 0 || int(it) >= len(lb.postings) {
 				continue
@@ -253,37 +383,47 @@ func (lb *labeler) labelIndexed(t dataset.Transaction, sc *labelScratch) int {
 		} else {
 			plist = lb.postingsMap[it]
 		}
-		for _, pid := range plist {
-			c := counts[pid]
-			touched[nt] = pid
-			nt += int(uint32(c-1) >> 31)
-			counts[pid] = c + 1
+		for _, e := range plist {
+			w := words[int(e.block)*stride:][:stride]
+			if w[0] == 0 {
+				blocks = append(blocks, e.block)
+			}
+			w[0] |= e.mask
+			for p, carry := 1, e.mask; carry != 0 && p < len(w); p++ {
+				x := w[p]
+				w[p] = x ^ carry
+				carry &= x
+			}
 		}
 	}
-	// Threshold each touched pair and tally N_i: through the integer row
-	// when the candidate is canonical and its length cached, else through
-	// the counted measure itself.
-	var need needRow
-	if canonical {
-		need = lb.needRowFor(len(t))
+
+	// Threshold each touched block and tally N_i: through the bit-sliced
+	// row when the candidate is canonical and its length cached, else
+	// through the counted measure itself.
+	var row *needRow
+	if canonical && len(blocks) > 0 {
+		row = lb.needRowFor(len(t))
 	}
-	for _, pid := range touched[:nt] {
-		c := counts[pid]
-		counts[pid] = 0
-		var hit bool
-		if need != nil {
-			hit = c >= need[lb.ptCls[pid]]
+	for _, b := range blocks {
+		w := words[int(b)*stride:][:stride]
+		var hits uint64
+		if row != nil {
+			if hits = w[0] & row.live[b]; hits != 0 {
+				hits &= atLeast(w[1:], row.planes[int(b)*width:][:width])
+			}
 		} else {
-			hit = lb.cm(int(c), len(t), int(lb.clsLen[lb.ptCls[pid]])) >= lb.theta
+			hits = lb.floatHits(len(t), int(b), w)
 		}
-		if hit {
-			si := lb.ptSet[pid]
+		clear(w)
+		for ; hits != 0; hits &= hits - 1 {
+			si := lb.ptSet[int(b)<<6|bits.TrailingZeros64(hits)]
 			if sc.setN[si] == 0 {
 				sc.touchedSets = append(sc.touchedSets, si)
 			}
 			sc.setN[si]++
 		}
 	}
+	sc.blocks = blocks[:0]
 
 	// Argmax over the touched sets. The reference scans sets in ascending
 	// index with a strict >, keeping the smallest index on score ties;
@@ -302,6 +442,38 @@ func (lb *labeler) labelIndexed(t dataset.Transaction, sc *labelScratch) int {
 	}
 	sc.touchedSets = sc.touchedSets[:0]
 	return best
+}
+
+// atLeast compares 64 bit-sliced counts against 64 bit-sliced needs of
+// the same width and returns the lanes where count ≥ need, deciding from
+// the top plane down: a lane is greater at the first plane where the
+// count has a 1 and the need a 0 with every higher plane equal.
+func atLeast(count, need []uint64) uint64 {
+	need = need[:len(count)]
+	gt, eq := uint64(0), ^uint64(0)
+	for p := len(count) - 1; p >= 0 && eq != 0; p-- {
+		gt |= eq & count[p] &^ need[p]
+		eq &^= count[p] ^ need[p]
+	}
+	return gt | eq
+}
+
+// floatHits decides block b's counted points through the counted
+// measure: w is the block's occupancy word then its count planes.
+func (lb *labeler) floatHits(lt, b int, w []uint64) uint64 {
+	var hits uint64
+	for m := w[0]; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		c := 0
+		for p, plane := range w[1:] {
+			c |= int(plane>>j&1) << p
+		}
+		lq := int(lb.clsLen[lb.ptCls[b<<6|j]])
+		if lb.cm(c, lt, lq) >= lb.theta {
+			hits |= 1 << j
+		}
+	}
+	return hits
 }
 
 // labelCandidatesReference is the serial pairwise labeling loop — the

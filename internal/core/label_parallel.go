@@ -56,7 +56,7 @@ func (lb *labeler) runEach(n int, at func(int) dataset.Transaction, workers, ser
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 || (serialBelow > 0 && n < serialBelow) {
+	if serialLabeling(n, workers, serialBelow) {
 		sc := get()
 		for i := range out {
 			out[i] = lb.label(at(i), sc)
@@ -75,6 +75,15 @@ func (lb *labeler) runEach(n int, at func(int) dataset.Transaction, workers, ser
 		put(sc)
 	})
 	return out
+}
+
+// serialLabeling reports whether n queries take the serial loop.
+// workers ≤ 0 means GOMAXPROCS.
+func serialLabeling(n, workers, serialBelow int) bool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return workers <= 1 || (serialBelow > 0 && n < serialBelow)
 }
 
 // labelCandidates is the phase-6 entry point: builds the labeler (index

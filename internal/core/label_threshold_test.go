@@ -42,14 +42,15 @@ func TestMinPassingExhaustive(t *testing.T) {
 }
 
 // TestNeedRowsConcurrent builds a labeler's threshold rows from many
-// goroutines at once: every caller gets the same row, equal to
-// minPassing per length class, and lengths past the cached range get nil.
+// goroutines at once: every caller gets the same row, whose planes decode
+// to minPassing for every labeled point, and lengths past the cached
+// range get nil.
 func TestNeedRowsConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ts := randomTransactionsCore(r, 200, 4, 40)
 	sets := [][]int{{0, 1, 2, 3, 4, 5}, {10, 11, 12}, {20, 30, 40, 50}}
 	lb := newLabeler(ts, sets, 0.4, MarketBasketF(0.4), similarity.Cosine)
-	rows := make([][]needRow, 8)
+	rows := make([][]*needRow, 8)
 	var wg sync.WaitGroup
 	for g := range rows {
 		wg.Add(1)
@@ -63,19 +64,29 @@ func TestNeedRowsConcurrent(t *testing.T) {
 	wg.Wait()
 	for lt := range lb.need {
 		for g := range rows {
-			if &rows[g][lt][0] != &rows[0][lt][0] {
-				t.Fatalf("lt=%d: goroutines got different row storage", lt)
+			if rows[g][lt] != rows[0][lt] {
+				t.Fatalf("lt=%d: goroutines got different rows", lt)
 			}
 		}
-		for ci, lq := range lb.clsLen {
-			if want := int32(minPassing(lb.cm, lt, int(lq), lb.theta)); rows[0][lt][ci] != want {
-				t.Fatalf("lt=%d lq=%d: row %d, want %d", lt, lq, rows[0][lt][ci], want)
+		for pid, ci := range lb.ptCls {
+			if got, want := rowNeed(rows[0][lt], lb.width, pid), minPassing(lb.cm, lt, int(lb.clsLen[ci]), lb.theta); got != want {
+				t.Fatalf("lt=%d point %d: row need %d, want %d", lt, pid, got, want)
 			}
 		}
 	}
 	if lb.needRowFor(len(lb.need)) != nil {
 		t.Fatal("length past the cached range got a row")
 	}
+}
+
+// rowNeed decodes labeled point pid's need from a bit-sliced row.
+func rowNeed(row *needRow, width, pid int) int {
+	b, j := pid>>6, pid&63
+	need := 0
+	for p := range width {
+		need |= int(row.planes[b*width+p]>>j&1) << p
+	}
+	return need
 }
 
 // TestLabelTableMatchesFloatPath proves the table-driven labeler

@@ -258,11 +258,21 @@ func (m *Model) Assign(t dataset.Transaction) int {
 // serial loop, where goroutine handoff would cost more than it saves.
 // Queries are independent, so the output is byte-identical for every
 // worker count and either path — assignments in query order, exactly as
-// if Assign had been called serially.
+// if Assign had been called serially. Once the model is warm the serial
+// path allocates only the result.
 func (m *Model) AssignBatch(ts []dataset.Transaction, workers int) []int {
 	serialBelow := m.batchSerialBelow
 	if serialBelow == 0 {
 		serialBelow = DefaultLabelSerialBelow
+	}
+	if serialLabeling(len(ts), workers, serialBelow) {
+		out := make([]int, len(ts))
+		sc := m.scratch.Get().(*labelScratch)
+		for i, t := range ts {
+			out[i] = m.lb.label(t, sc)
+		}
+		m.scratch.Put(sc)
+		return out
 	}
 	return m.lb.runEach(len(ts), func(i int) dataset.Transaction { return ts[i] }, workers, serialBelow,
 		func() *labelScratch { return m.scratch.Get().(*labelScratch) },

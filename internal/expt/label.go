@@ -116,7 +116,7 @@ func BenchLabel(w io.Writer, opts Options) error {
 		Quick:      opts.Quick,
 		Notes: []string{
 			cpuNote(),
-			"pairwise is the paper's labeling loop (every candidate against every labeled point); indexed counts intersections through an inverted index over the labeled points and decides the θ-test exactly from (|t∩q|, |t|, |q|).",
+			"pairwise is the paper's labeling loop (every candidate against every labeled point); indexed counts intersections through block postings over the labeled points into bit-sliced counters, 64 points per machine word, and decides the θ-test exactly from (|t∩q|, |t|, |q|).",
 			"the sample is every 5th transaction, clustered with full ROCK; L_i sets take every 4th member of each cluster capped at 50, as Config.LabelFraction/MaxLabelPoints defaults would.",
 			"times are best-of-3 seconds for the labeling phase alone over prebuilt sets on the basket workload; speedup = pairwise_sec / indexed_sec.",
 			"parallel rows shard candidates across workers over the same index: speedup = indexed_sec / sec.",
