@@ -94,19 +94,6 @@ func BenchmarkNeighborsLSH(b *testing.B) {
 	}
 }
 
-func BenchmarkLinksSerial(b *testing.B) {
-	for _, n := range []int{1000, 2000} {
-		d := benchBasket(n)
-		nb := similarity.ComputeIndexed(d.Trans, 0.6, similarity.Options{})
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				linkage.FromNeighbors(nb)
-			}
-		})
-	}
-}
-
 func BenchmarkLinksParallel(b *testing.B) {
 	workerCounts := []int{1, 2, 4}
 	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
@@ -119,7 +106,7 @@ func BenchmarkLinksParallel(b *testing.B) {
 			b.Run(sizeName(n)+"/workers="+strconv.Itoa(w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					linkage.FromNeighborsCSR(nb, w)
+					linkage.Build(nb, linkage.Options{Workers: w})
 				}
 			})
 		}
@@ -138,18 +125,6 @@ func benchLabelFixture(b *testing.B, n int) (ts []rock.Transaction, candidates [
 		b.Fatal(err)
 	}
 	return ts, candidates, sets
-}
-
-func BenchmarkLabelReference(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		ts, candidates, sets := benchLabelFixture(b, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.BenchLabelReference(ts, candidates, sets, 0.6, rock.MarketBasketF(0.6))
-			}
-		})
-	}
 }
 
 func BenchmarkLabelIndexed(b *testing.B) {
@@ -200,18 +175,6 @@ func benchAssignFixture(b *testing.B, n int) (*rock.Model, []rock.Transaction) {
 		queries[i] = ts[p]
 	}
 	return m, queries
-}
-
-func BenchmarkAssignReference(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		m, queries := benchAssignFixture(b, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.BenchAssignReference(m, queries)
-			}
-		})
-	}
 }
 
 func BenchmarkAssign(b *testing.B) {
@@ -282,16 +245,15 @@ func BenchmarkClusterPipeline(b *testing.B) {
 }
 
 // BenchmarkClusterPipelineWorkers runs the full pipeline across worker
-// counts. workers=1 is the all-serial baseline (the dispatcher always
-// takes the serial engines at one worker); workers≥2 run the parallel
-// link builder and batched merge engine, with MergeSerialBelow -1
-// forcing the batched engine even below its crossover. Output is
+// counts. workers=1 is the all-serial baseline; workers≥2 shard the
+// neighbor and link phases (the 2000-point sample stays below the
+// batched merge engine's DefaultMergeSerialBelow). Output is
 // byte-identical across worker counts; only wall-clock may differ.
 func BenchmarkClusterPipelineWorkers(b *testing.B) {
 	d := benchBasket(2000)
 	for _, w := range []int{1, 2, 4} {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
-			cfg := rock.Config{Theta: 0.6, K: 10, Seed: 1, Workers: w, MergeSerialBelow: -1}
+			cfg := rock.Config{Theta: 0.6, K: 10, Seed: 1, Workers: w}
 			for i := 0; i < b.N; i++ {
 				if _, err := rock.Cluster(d.Trans, cfg); err != nil {
 					b.Fatal(err)

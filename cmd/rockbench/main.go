@@ -6,9 +6,9 @@
 //	rockbench              # everything, paper-scale
 //	rockbench -quick E6    # shrunken timing sweep
 //	rockbench -list
-//	rockbench -links       # serial-vs-parallel link sweep → BENCH_links.json
-//	rockbench -merge       # map-vs-arena agglomeration sweep → BENCH_merge.json
-//	rockbench -label       # pairwise-vs-indexed labeling sweep → BENCH_label.json
+//	rockbench -links       # link builder worker sweep → BENCH_links.json
+//	rockbench -merge       # arena-vs-batched agglomeration sweep → BENCH_merge.json
+//	rockbench -label       # serial-vs-sharded labeling sweep → BENCH_label.json
 //	rockbench -assign      # frozen-model serving sweep → BENCH_assign.json
 //	rockbench -serve       # HTTP serving sweep → BENCH_serve.json
 //	rockbench -neighbors   # exact-vs-LSH neighbor sweep → BENCH_neighbors.json
@@ -31,12 +31,12 @@ func main() {
 		seed   = flag.Int64("seed", 0, "base seed for all generators")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 		out    = flag.String("out", "", "write reports to this file instead of stdout")
-		links  = flag.Bool("links", false, "run the serial-vs-parallel link builder sweep and write BENCH_links.json (or -out)")
-		merge  = flag.Bool("merge", false, "run the agglomeration engine sweep (map vs arena vs batched-parallel) and write BENCH_merge.json (or -out)")
-		label  = flag.Bool("label", false, "run the labeling sweep (pairwise reference vs indexed vs sharded) and write BENCH_label.json (or -out)")
-		assign = flag.Bool("assign", false, "run the frozen-model serving sweep (pairwise reference vs Model.Assign/AssignBatch + save/load cost) and write BENCH_assign.json (or -out)")
+		links  = flag.Bool("links", false, "run the link builder sweep across worker counts and write BENCH_links.json (or -out)")
+		merge  = flag.Bool("merge", false, "run the agglomeration engine sweep (serial arena vs batched-parallel) and write BENCH_merge.json (or -out)")
+		label  = flag.Bool("label", false, "run the labeling sweep (indexed serial vs sharded) and write BENCH_label.json (or -out)")
+		assign = flag.Bool("assign", false, "run the frozen-model serving sweep (Model.AssignBatch across workers + save/load cost) and write BENCH_assign.json (or -out)")
 		srv    = flag.Bool("serve", false, "run the HTTP serving sweep (concurrent load against an in-process rockserve stack) and write BENCH_serve.json (or -out)")
-		nbrs   = flag.Bool("neighbors", false, "run the neighbor-phase sweep (exact index vs prototype LSH vs sort-based LSH pipeline) and write BENCH_neighbors.json (or -out)")
+		nbrs   = flag.Bool("neighbors", false, "run the neighbor-phase sweep (exact index vs sort-based LSH pipeline) and write BENCH_neighbors.json (or -out)")
 		strm   = flag.Bool("stream", false, "run the streaming-ingestion sweep (sustained ingest through a regime change with background refresh) and write BENCH_stream.json (or -out)")
 		zoos   = flag.Bool("zoo", false, "run the algorithm-zoo shootout (every registered engine vs ROCK on the labeled/votes/mushroom workloads) and write BENCH_zoo.json (or -out)")
 		long   = flag.Bool("long", false, "with -neighbors: add the million-point rows (10⁶ LSH neighbor run + chunked clustering end-to-end); minutes of runtime")
@@ -120,21 +120,22 @@ Regenerates the tables and figures of the paper's evaluation (E1..E8) and
 the repo's ablations (A1..A6) on the synthetic stand-in datasets, plus
 the performance-trajectory records — one bench mode per record:
 
-  -links   serial-vs-parallel link builder sweep   → BENCH_links.json
+  -links   link builder sweep                      → BENCH_links.json
+           (the sharded CSR builder across worker counts)
   -merge   agglomeration engine sweep              → BENCH_merge.json
-           (map reference vs serial arena vs parallel batched rounds)
+           (serial arena vs parallel batched rounds)
   -label   labeling-phase sweep                    → BENCH_label.json
-           (pairwise reference vs inverted-index vs sharded workers)
+           (inverted-index labeler, serial vs sharded workers)
   -assign  frozen-model serving sweep              → BENCH_assign.json
-           (pairwise reference vs Model.Assign/AssignBatch, plus the
-           model file's size and save/load cost)
+           (Model.AssignBatch across worker counts, plus the model
+           file's size and save/load cost)
   -serve   HTTP serving sweep                      → BENCH_serve.json
            (concurrent clients against an in-process rockserve stack:
            client-side p50/p95/p99 latency, throughput, and batching
            effectiveness at two worker and two concurrency settings)
   -neighbors  neighbor-phase sweep                 → BENCH_neighbors.json
-           (exact inverted index vs prototype map-based LSH vs the
-           sort-based sharded LSH pipeline on hub-heavy baskets, with
+           (exact inverted index vs the sort-based sharded LSH
+           pipeline on hub-heavy baskets, with
            measured edge recall; add -long for the million-point rows
            including an end-to-end chunked clustering run)
   -stream  streaming-ingestion sweep               → BENCH_stream.json
@@ -163,11 +164,9 @@ Flags:
 
 Caveat for the BENCH_*.json sweeps: parallel speedups are only visible
 when GOMAXPROCS exceeds one. On a single-CPU host the worker goroutines
-serialize, so the recorded "parallel" columns show only the algorithmic
-differences (array counting vs map inserts for links; round-level heap
-repair for merges; inverted-index counting vs pairwise similarity for
-labeling and model serving). Regenerate on a multi-core host to capture
-the scaling curve; the current GOMAXPROCS is recorded in each file.
+serialize, so the recorded "parallel" columns show only the handoff
+overhead. Regenerate on a multi-core host to capture the scaling curve;
+the current GOMAXPROCS is recorded in each file.
 `)
 }
 

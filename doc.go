@@ -35,9 +35,9 @@
 // parallelizes under Config.Workers (0 means GOMAXPROCS) and produces
 // output byte-identical to its retained serial reference at every worker
 // count, enforced by randomized oracle tests under the race detector.
-// Small inputs take the serial paths automatically; Config's
-// LinkSerialBelow, MergeSerialBelow and LabelSerialBelow tune the
-// crossovers, trading only constant factors, never results.
+// Each phase has one production path; small merges and labeling batches
+// stay on their serial loops automatically, so Workers is the only
+// parallelism setting.
 // ARCHITECTURE.md is the authoritative description of the machinery (the
 // CSR link table, the arena and batched merge engines, the labeling
 // index, the oracle discipline), and cmd/rockbench regenerates the

@@ -66,37 +66,17 @@ type Config struct {
 	// MaxLabelPoints caps |L_i| per cluster; default 50.
 	MaxLabelPoints int
 
-	// Workers bounds parallelism in the neighbor, link, and merge phases;
-	// 0 = GOMAXPROCS. Results are byte-identical for every worker count:
-	// the batched merge engine commits conflict-free rounds whose output
-	// is provably the serial merge sequence.
+	// Workers bounds parallelism in the neighbor, link, merge and
+	// labeling phases; 0 = GOMAXPROCS. Results are byte-identical for
+	// every worker count: the batched merge engine commits conflict-free
+	// rounds whose output is provably the serial merge sequence, and the
+	// link and labeling phases shard independent rows and candidates.
+	// Small inputs keep the serial merge and labeling loops, where
+	// goroutine handoff would cost more than it saves. The labeler
+	// consults an inverted index over the labeled points for the
+	// built-in measures (exact — see label_indexed.go) and falls back to
+	// pairwise evaluation for custom Measure funcs.
 	Workers int
-	// LinkSerialBelow overrides the link-phase crossover: samples with
-	// fewer kept points than this use the serial map-based link builder,
-	// larger ones the sharded parallel CSR builder. 0 picks the built-in
-	// crossover; negative forces the parallel builder at every size. Both
-	// builders produce bit-identical tables — this knob only trades
-	// constant factors.
-	LinkSerialBelow int
-	// MergeSerialBelow overrides the merge-phase crossover: samples with
-	// fewer kept points than this agglomerate on the serial arena engine,
-	// larger ones on the parallel batched engine. 0 picks the built-in
-	// crossover; negative forces batched merge rounds at every size.
-	// Workers <= 1 always takes the serial engine regardless of this
-	// knob. Both engines produce byte-identical clusterings — the choice
-	// only trades constant factors.
-	MergeSerialBelow int
-	// LabelSerialBelow overrides the labeling-phase crossover: runs with
-	// fewer labeling candidates than this label on the serial loop,
-	// larger ones shard candidates across the workers. 0 picks the
-	// built-in crossover; negative forces sharding at every size.
-	// Workers <= 1 always takes the serial loop. Candidates are
-	// independent, so every path produces byte-identical assignments —
-	// the knob only trades constant factors. Independently of sharding,
-	// the labeler consults an inverted index over the labeled points for
-	// the built-in measures (exact — see label_indexed.go) and falls
-	// back to pairwise evaluation for custom Measure funcs.
-	LabelSerialBelow int
 
 	// TraceMerges records every merge step into Result.MergeTrace,
 	// turning the run into a dendrogram that CutTrace can cut at any

@@ -12,25 +12,26 @@ import (
 )
 
 // Cluster output must be byte-identical for a fixed seed regardless of
-// the worker count: parallelism in the neighbor and link phases must not
-// leak into results. Checked both structurally and on serialized bytes.
+// the worker count: parallelism in the neighbor, link and labeling phases
+// must not leak into results. Checked both structurally and on serialized bytes.
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	configs := []Config{
-		{Theta: 0.5, K: 4, Seed: 11, TraceMerges: true},
-		{Theta: 0.6, K: 3, Seed: 7, SampleSize: 150, MinNeighbors: 2, WeedAt: 0.3},
-		{Theta: 0.3, K: 5, Seed: 23, LabelOutliers: true},
-		// LinkSerialBelow: -1 forces the sharded parallel CSR link
-		// builder even at this test's n, so link-phase parallelism is
-		// exercised, not just the neighbor phase.
-		{Theta: 0.5, K: 4, Seed: 13, LinkSerialBelow: -1, TraceMerges: true},
-		// LabelSerialBelow: -1 forces candidate sharding in the labeling
-		// phase even at this test's candidate count, so label-phase
-		// parallelism is exercised alongside sampling.
-		{Theta: 0.5, K: 4, Seed: 17, SampleSize: 120, LabelSerialBelow: -1, LabelOutliers: true},
+	// 220 points span two 128-row link shards, so link-phase parallelism
+	// is exercised at every config, not just the neighbor phase.
+	cases := []struct {
+		n   int
+		cfg Config
+	}{
+		{220, Config{Theta: 0.5, K: 4, Seed: 11, TraceMerges: true}},
+		{220, Config{Theta: 0.6, K: 3, Seed: 7, SampleSize: 150, MinNeighbors: 2, WeedAt: 0.3}},
+		{220, Config{Theta: 0.3, K: 5, Seed: 23, LabelOutliers: true}},
+		// More candidates than labelSerialBelow, so the labeling phase
+		// shards them across workers alongside sampling.
+		{labelSerialBelow + 200, Config{Theta: 0.5, K: 4, Seed: 17, SampleSize: 120, LabelOutliers: true}},
 	}
-	for ci, base := range configs {
-		ts := randomTransactionsCore(r, 220, 7, 25)
+	for ci, c := range cases {
+		base := c.cfg
+		ts := randomTransactionsCore(r, c.n, 7, 25)
 		workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 
 		var ref *Result
@@ -75,8 +76,9 @@ func TestChunkedClusterDeterministicAcrossWorkers(t *testing.T) {
 	configs := []ChunkedConfig{
 		{Base: Config{Theta: 0.5, K: 3, Seed: 5}, ChunkSize: 60},
 		{Base: Config{Theta: 0.4, K: 4, Seed: 11, MinNeighbors: 1}, ChunkSize: 45, ChunkK: 6, Reps: 3},
-		// Force the parallel link and label paths inside every sub-run.
-		{Base: Config{Theta: 0.5, K: 3, Seed: 23, LinkSerialBelow: -1, LabelSerialBelow: -1}, ChunkSize: 80},
+		// Chunks wider than one 128-row link shard, so every full
+		// sub-run shards its link build.
+		{Base: Config{Theta: 0.5, K: 3, Seed: 23}, ChunkSize: 200},
 	}
 	for ci, base := range configs {
 		ts := randomTransactionsCore(r, 260, 6, 22)

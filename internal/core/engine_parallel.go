@@ -51,18 +51,14 @@ import (
 const DefaultMergeSerialBelow = 2048
 
 // agglomerateAuto dispatches between the serial arena engine and the
-// parallel batched engine: workers (0 = GOMAXPROCS) and serialBelow (0 =
-// DefaultMergeSerialBelow, negative = always batched) follow the same
-// conventions as the link phase. Both paths produce byte-identical
-// results; the knobs trade constant factors only.
-func agglomerateAuto(n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool, workers, serialBelow int) engineResult {
+// parallel batched engine: workers (0 = GOMAXPROCS) > 1 and at least
+// DefaultMergeSerialBelow points take batched rounds, anything else the
+// arena. Both paths produce byte-identical results.
+func agglomerateAuto(n int, lt *linkage.Compact, k int, good GoodnessFunc, f float64, weedTrigger, weedMaxSize int, trace bool, workers int) engineResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if serialBelow == 0 {
-		serialBelow = DefaultMergeSerialBelow
-	}
-	if workers <= 1 || (serialBelow > 0 && n < serialBelow) {
+	if workers <= 1 || n < DefaultMergeSerialBelow {
 		return agglomerate(n, lt, k, good, f, weedTrigger, weedMaxSize, trace)
 	}
 	return agglomerateParallel(n, lt, k, good, f, weedTrigger, weedMaxSize, trace, workers)

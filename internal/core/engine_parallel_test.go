@@ -100,19 +100,17 @@ func TestBatchedEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestAgglomerateAutoEquivalence drives the dispatcher through the
-// public knobs: every (Workers, MergeSerialBelow) combination must yield
-// the serial arena's exact result.
+// TestAgglomerateAutoEquivalence drives the dispatcher on both sides of
+// DefaultMergeSerialBelow: at every worker count it must yield the serial
+// arena's exact result, whether it picks the arena or batched rounds.
 func TestAgglomerateAutoEquivalence(t *testing.T) {
-	n := 600
-	lt := parallelLinkTable(t, n, 6)
-	f := MarketBasketF(0.6)
-	want := agglomerate(n, lt, 6, RockGoodness, f, 0, 0, true)
-	for _, workers := range []int{0, 1, 2, 4} {
-		for _, below := range []int{0, -1, 100, 100000} {
-			got := agglomerateAuto(n, lt, 6, RockGoodness, f, 0, 0, true, workers, below)
-			label := fmt.Sprintf("workers=%d serialBelow=%d", workers, below)
-			checkResultsEqual(t, label, &got, &want)
+	for _, n := range []int{600, DefaultMergeSerialBelow + 52} {
+		lt := parallelLinkTable(t, n, n/100)
+		f := MarketBasketF(0.6)
+		want := agglomerate(n, lt, 6, RockGoodness, f, 0, 0, true)
+		for _, workers := range []int{0, 1, 2, 4} {
+			got := agglomerateAuto(n, lt, 6, RockGoodness, f, 0, 0, true, workers)
+			checkResultsEqual(t, fmt.Sprintf("n=%d workers=%d", n, workers), &got, &want)
 		}
 	}
 }

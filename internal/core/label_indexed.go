@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/rockclust/rock/internal/dataset"
@@ -93,6 +94,10 @@ type labeler struct {
 	// need[|t|] is the lazily built needRow for candidates of length |t|;
 	// its length bounds the cached range (see lengthClasses).
 	need []atomic.Pointer[needRow]
+
+	// scratch pools labelScratch values, so a long-lived labeler (a
+	// Model's) reuses them across batches and goroutines.
+	scratch sync.Pool
 }
 
 // posting is one block entry of an item's posting list: bit j of mask
@@ -125,6 +130,7 @@ func newLabeler(ts []dataset.Transaction, sets [][]int, theta, f float64, sim si
 		sim = similarity.Jaccard
 	}
 	lb := &labeler{ts: ts, sets: sets, theta: theta, f: f, sim: sim}
+	lb.scratch.New = func() any { return lb.newScratch() }
 	lb.denom = make([]float64, len(sets))
 	for i, li := range sets {
 		lb.denom[i] = math.Pow(float64(len(li)+1), f)
@@ -341,6 +347,9 @@ func (lb *labeler) newScratch() *labelScratch {
 		touchedSets: make([]int32, 0, len(lb.sets)),
 	}
 }
+
+func (lb *labeler) getScratch() *labelScratch   { return lb.scratch.Get().(*labelScratch) }
+func (lb *labeler) putScratch(sc *labelScratch) { lb.scratch.Put(sc) }
 
 // label assigns one candidate: the cluster index maximizing
 // N_i / (|L_i|+1)^f, ties toward the smaller index, or -1 when the

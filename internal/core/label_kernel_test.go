@@ -221,18 +221,17 @@ func kernelShapes() []kernelShape {
 	return out
 }
 
-// assertKernelMatches runs the block kernel at Workers 1/2/4/8 (forced
-// past the serial crossover) and the scalar oracle over cands, then checks
-// that every row the kernel built encodes each point's need unwrapped.
+// assertKernelMatches runs the sharded block kernel at Workers 1/2/4/8
+// and the scalar oracle over cands, then checks that every row the
+// kernel built encodes each point's need unwrapped.
 func assertKernelMatches(t *testing.T, label string, lb *labeler, o *scalarLabeler, cands []dataset.Transaction) {
 	t.Helper()
 	want := make([]int, len(cands))
 	for i, c := range cands {
 		want[i] = o.label(c)
 	}
-	at := func(i int) dataset.Transaction { return cands[i] }
 	for _, workers := range labelWorkerCounts {
-		got := lb.runEach(len(cands), at, workers, -1, lb.newScratch, func(*labelScratch) {})
+		got := lb.runSharded(cands, nil, workers)
 		if !reflect.DeepEqual(got, want) {
 			for i := range got {
 				if got[i] != want[i] {
@@ -327,8 +326,7 @@ func TestLabelKernelBudget(t *testing.T) {
 		}
 		cands = append(cands, long)
 	}
-	at := func(i int) dataset.Transaction { return cands[i] }
-	got := lb.runEach(len(cands), at, 2, -1, lb.newScratch, func(*labelScratch) {})
+	got := lb.runSharded(cands, nil, 2)
 
 	words := 0
 	for lt := range lb.need {

@@ -44,8 +44,8 @@ var labelOracleMeasures = []struct {
 
 // TestLabelOracleRandom proves the indexed/parallel labeler assignment-
 // identical to the serial pairwise reference on randomized labeled-set
-// structures: every measure, worker counts 1/2/4/8, and both sides of the
-// serial crossover (forced-parallel and forced-serial).
+// structures: every measure, worker counts 1/2/4/8, through the dispatch
+// (serial at these sizes) and the sharded loop called directly.
 func TestLabelOracleRandom(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -88,12 +88,15 @@ func TestLabelOracleRandom(t *testing.T) {
 		m := labelOracleMeasures[int(seed)%len(labelOracleMeasures)]
 
 		ref := labelCandidatesReference(ts, candidates, sets, theta, f, m.fn)
+		lb := newLabeler(ts, sets, theta, f, m.fn)
 		for _, workers := range labelWorkerCounts {
-			for _, serialBelow := range []int{-1, n + 1} {
-				got := newLabeler(ts, sets, theta, f, m.fn).run(candidates, workers, serialBelow)
+			for path, got := range map[string][]int{
+				"run":        lb.run(ts, candidates, workers),
+				"runSharded": lb.runSharded(ts, candidates, workers),
+			} {
 				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("seed=%d n=%d sets=%d measure=%s workers=%d serialBelow=%d: assignments diverge\ngot: %v\nref: %v",
-						seed, n, len(sets), m.name, workers, serialBelow, got, ref)
+					t.Fatalf("seed=%d n=%d sets=%d measure=%s workers=%d %s: assignments diverge\ngot: %v\nref: %v",
+						seed, n, len(sets), m.name, workers, path, got, ref)
 				}
 			}
 		}
@@ -104,11 +107,18 @@ func TestLabelOracleRandom(t *testing.T) {
 // labeling runs indexed/parallel vs the serial pairwise reference, across
 // randomized configs (θ, sample size, LabelFraction, MaxLabelPoints,
 // LabelOutliers, pruning, weeding, every measure) and worker counts
-// 1/2/4/8 — Assign, Clusters, Outliers, Stats, and serialized bytes.
+// 1/2/4/8 — Assign, Clusters, Outliers, Stats, and serialized bytes. The
+// last trials label more than labelSerialBelow candidates, so the
+// pipeline's dispatch shards them.
 func TestLabelOracleCluster(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 24; trial++ {
+	for trial := 0; trial < 28; trial++ {
 		n := 120 + r.Intn(200)
+		sampleSize := 20 + r.Intn(n-20)
+		if trial >= 24 {
+			n = labelSerialBelow + 60 + r.Intn(200)
+			sampleSize = 20 + r.Intn(40)
+		}
 		ts := randomTransactionsCore(r, n, 2+r.Intn(7), 6+r.Intn(24))
 		m := labelOracleMeasures[trial%len(labelOracleMeasures)]
 		cfg := Config{
@@ -116,7 +126,7 @@ func TestLabelOracleCluster(t *testing.T) {
 			K:              1 + r.Intn(5),
 			Measure:        m.fn,
 			Seed:           r.Int63(),
-			SampleSize:     20 + r.Intn(n-20),
+			SampleSize:     sampleSize,
 			LabelFraction:  0.05 + 0.9*r.Float64(),
 			MaxLabelPoints: 1 + r.Intn(30),
 			LabelOutliers:  trial%2 == 0,
@@ -140,34 +150,31 @@ func TestLabelOracleCluster(t *testing.T) {
 		}
 
 		for _, workers := range labelWorkerCounts {
-			for _, serialBelow := range []int{0, -1} {
-				label := fmt.Sprintf("trial=%d measure=%s workers=%d serialBelow=%d", trial, m.name, workers, serialBelow)
-				runCfg := cfg
-				runCfg.Workers = workers
-				runCfg.LabelSerialBelow = serialBelow
-				got, err := Cluster(ts, runCfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if !reflect.DeepEqual(got.Assign, ref.Assign) {
-					t.Fatalf("%s: Assign diverges", label)
-				}
-				if !reflect.DeepEqual(got.Clusters, ref.Clusters) {
-					t.Fatalf("%s: Clusters diverge", label)
-				}
-				if !reflect.DeepEqual(got.Outliers, ref.Outliers) {
-					t.Fatalf("%s: Outliers diverge", label)
-				}
-				if got.Stats != ref.Stats {
-					t.Fatalf("%s: Stats diverge\ngot: %+v\nref: %+v", label, got.Stats, ref.Stats)
-				}
-				var buf bytes.Buffer
-				if err := WriteResult(&buf, got); err != nil {
-					t.Fatalf("%s: serialize: %v", label, err)
-				}
-				if !bytes.Equal(buf.Bytes(), refBuf.Bytes()) {
-					t.Fatalf("%s: serialized bytes diverge from the reference labeler's", label)
-				}
+			label := fmt.Sprintf("trial=%d measure=%s workers=%d", trial, m.name, workers)
+			runCfg := cfg
+			runCfg.Workers = workers
+			got, err := Cluster(ts, runCfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(got.Assign, ref.Assign) {
+				t.Fatalf("%s: Assign diverges", label)
+			}
+			if !reflect.DeepEqual(got.Clusters, ref.Clusters) {
+				t.Fatalf("%s: Clusters diverge", label)
+			}
+			if !reflect.DeepEqual(got.Outliers, ref.Outliers) {
+				t.Fatalf("%s: Outliers diverge", label)
+			}
+			if got.Stats != ref.Stats {
+				t.Fatalf("%s: Stats diverge\ngot: %+v\nref: %+v", label, got.Stats, ref.Stats)
+			}
+			var buf bytes.Buffer
+			if err := WriteResult(&buf, got); err != nil {
+				t.Fatalf("%s: serialize: %v", label, err)
+			}
+			if !bytes.Equal(buf.Bytes(), refBuf.Bytes()) {
+				t.Fatalf("%s: serialized bytes diverge from the reference labeler's", label)
 			}
 		}
 	}
@@ -215,7 +222,7 @@ func TestLabelThetaZeroOracle(t *testing.T) {
 	candidates := []int{10, 11, 12, 40, 79}
 	ref := labelCandidatesReference(ts, candidates, sets, 0, 0.5, similarity.Jaccard)
 	for _, workers := range labelWorkerCounts {
-		got := newLabeler(ts, sets, 0, 0.5, similarity.Jaccard).run(candidates, workers, -1)
+		got := newLabeler(ts, sets, 0, 0.5, similarity.Jaccard).runSharded(ts, candidates, workers)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: got %v, ref %v", workers, got, ref)
 		}

@@ -18,97 +18,86 @@ import (
 // chunkwork.Run loop), so a candidate with an expensive neighborhood
 // doesn't stall a whole static shard.
 
-// DefaultLabelSerialBelow is the default crossover for the labeling
-// phase: below this many candidates the goroutine handoff costs more
-// than the sharded scan saves, so labeling runs on the serial loop.
-const DefaultLabelSerialBelow = 1024
-
 // labelChunk is the unit of work a worker claims at a time.
 const labelChunk = 64
 
-// run labels every candidate, returning the chosen cluster index (or -1)
-// per candidate in candidate order. workers and serialBelow follow the
-// link/merge-phase conventions: workers 0 = GOMAXPROCS, serialBelow 0 =
-// DefaultLabelSerialBelow, negative = always parallel. Workers ≤ 1
-// always takes the serial loop.
-func (lb *labeler) run(candidates []int, workers, serialBelow int) []int {
-	if serialBelow == 0 {
-		serialBelow = DefaultLabelSerialBelow
-	}
-	return lb.runEach(len(candidates), func(i int) dataset.Transaction { return lb.ts[candidates[i]] },
-		workers, serialBelow, lb.newScratch, func(*labelScratch) {})
-}
+// labelSerialBelow is the batch size under which run labels on the
+// serial loop: below 16 chunks the goroutine handoff and the extra
+// per-worker scratch cost more than sharding saves at two workers.
+const labelSerialBelow = 16 * labelChunk
 
-// runEach is the sharded assignment loop shared by the labeling phase
-// and Model.AssignBatch: query i's transaction comes from at(i), its
-// assignment lands in slot i of the result. get/put bracket each
-// worker's scratch (the model routes them through its pool; the
-// pipeline allocates fresh per worker). workers ≤ 1, or n below a
-// positive serialBelow, takes the serial loop; the parallel path is
-// chunkwork.Run, the claim loop shared with the neighbor and LSH
-// stages. Either way the output is byte-identical, queries being
-// independent.
-func (lb *labeler) runEach(n int, at func(int) dataset.Transaction, workers, serialBelow int, get func() *labelScratch, put func(*labelScratch)) []int {
-	out := make([]int, n)
-	if n == 0 {
-		return out
+// run labels a batch of queries — ts[idx[i]] when idx is non-nil, else
+// ts[i] — returning the chosen cluster index (or -1) per query in query
+// order. It is the one dispatch the labeling phase and Model.AssignBatch
+// share: workers ≤ 1 (0 means GOMAXPROCS) or a batch below
+// labelSerialBelow takes the serial loop, anything larger runSharded.
+// Either way the output is byte-identical, queries being independent.
+// Once the labeler is warm the serial loop allocates only the result.
+func (lb *labeler) run(ts []dataset.Transaction, idx []int, workers int) []int {
+	n := len(ts)
+	if idx != nil {
+		n = len(idx)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if serialLabeling(n, workers, serialBelow) {
-		sc := get()
-		for i := range out {
-			out[i] = lb.label(at(i), sc)
-		}
-		put(sc)
-		return out
+	if workers > 1 && n >= labelSerialBelow {
+		return lb.runSharded(ts, idx, workers)
 	}
+	out := make([]int, n)
+	sc := lb.getScratch()
+	lb.labelRange(ts, idx, 0, n, out, sc)
+	lb.putScratch(sc)
+	return out
+}
 
+// runSharded labels the batch on chunkwork.Run, the claim loop shared
+// with the neighbor and LSH stages; each worker draws one scratch from
+// the labeler's pool.
+func (lb *labeler) runSharded(ts []dataset.Transaction, idx []int, workers int) []int {
+	n := len(ts)
+	if idx != nil {
+		n = len(idx)
+	}
+	out := make([]int, n)
 	chunkwork.Run(n, workers, labelChunk, func(next func() (int, int, bool)) {
-		sc := get()
+		sc := lb.getScratch()
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for i := lo; i < hi; i++ {
-				out[i] = lb.label(at(i), sc)
-			}
+			lb.labelRange(ts, idx, lo, hi, out, sc)
 		}
-		put(sc)
+		lb.putScratch(sc)
 	})
 	return out
 }
 
-// serialLabeling reports whether n queries take the serial loop.
-// workers ≤ 0 means GOMAXPROCS.
-func serialLabeling(n, workers, serialBelow int) bool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// labelRange labels queries [lo,hi) of a batch into out.
+func (lb *labeler) labelRange(ts []dataset.Transaction, idx []int, lo, hi int, out []int, sc *labelScratch) {
+	for i := lo; i < hi; i++ {
+		q := i
+		if idx != nil {
+			q = idx[i]
+		}
+		out[i] = lb.label(ts[q], sc)
 	}
-	return workers <= 1 || (serialBelow > 0 && n < serialBelow)
 }
 
 // labelCandidates is the phase-6 entry point: builds the labeler (index
-// or fallback per the measure and θ) and shards the candidates per the
-// config. cfg must already carry defaults.
+// or fallback per the measure and θ) and labels the candidates across
+// cfg.Workers. cfg must already carry defaults.
 func labelCandidates(ts []dataset.Transaction, candidates []int, sets [][]int, cfg Config) []int {
 	if cfg.labelReference {
 		return labelCandidatesReference(ts, candidates, sets, cfg.Theta, cfg.fval(), cfg.Measure)
 	}
-	return newLabeler(ts, sets, cfg.Theta, cfg.fval(), cfg.Measure).run(candidates, cfg.Workers, cfg.LabelSerialBelow)
-}
-
-// BenchLabelReference runs the serial pairwise reference labeler —
-// exported for the `rockbench -label` sweep and the Label benchmarks.
-func BenchLabelReference(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64) []int {
-	return labelCandidatesReference(ts, candidates, sets, theta, f, nil)
+	return newLabeler(ts, sets, cfg.Theta, cfg.fval(), cfg.Measure).run(ts, candidates, cfg.Workers)
 }
 
 // BenchLabelIndexed runs the indexed labeler on the serial path.
 func BenchLabelIndexed(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64) []int {
-	return newLabeler(ts, sets, theta, f, nil).run(candidates, 1, 0)
+	return newLabeler(ts, sets, theta, f, nil).run(ts, candidates, 1)
 }
 
 // BenchLabelParallel runs the indexed labeler sharded across the given
-// worker count (forced past the serial crossover).
+// worker count, whatever the batch size.
 func BenchLabelParallel(ts []dataset.Transaction, candidates []int, sets [][]int, theta, f float64, workers int) []int {
-	return newLabeler(ts, sets, theta, f, nil).run(candidates, workers, -1)
+	return newLabeler(ts, sets, theta, f, nil).runSharded(ts, candidates, workers)
 }

@@ -121,9 +121,8 @@ func TestLabelTableMatchesFloatPath(t *testing.T) {
 		table := newLabeler(ts, sets, theta, MarketBasketF(theta), m.fn)
 		float := newLabeler(ts, sets, theta, MarketBasketF(theta), m.fn)
 		float.need = nil // every needRowFor misses: the float test decides
-		at := func(i int) dataset.Transaction { return cands[i] }
-		got := table.runEach(len(cands), at, 1, 0, table.newScratch, func(*labelScratch) {})
-		want := float.runEach(len(cands), at, 1, 0, float.newScratch, func(*labelScratch) {})
+		got := table.run(cands, nil, 1)
+		want := float.run(cands, nil, 1)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed=%d measure=%s θ=%v: table %v, float %v", seed, m.name, theta, got, want)
 		}

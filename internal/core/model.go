@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"github.com/rockclust/rock/internal/dataset"
 	"github.com/rockclust/rock/internal/similarity"
@@ -55,14 +54,7 @@ type Model struct {
 	// vocabulary. nil when the model was frozen from raw ids.
 	items []string
 
-	lb      *labeler
-	scratch sync.Pool
-
-	// batchSerialBelow overrides AssignBatch's serial crossover: 0 picks
-	// DefaultLabelSerialBelow, negative always shards. Unexported — the
-	// oracle tests force the sharded path below the crossover; callers
-	// get the labeling phase's tuned default.
-	batchSerialBelow int
+	lb *labeler
 }
 
 // Freeze snapshots a clustering run into a servable Model, with the
@@ -184,7 +176,6 @@ func newModel(pts []dataset.Transaction, setSizes, clusterSizes []int, theta, f 
 		return nil, fmt.Errorf("%w: %d labeled points for set sizes summing to %d", ErrModelCorrupt, len(pts), at)
 	}
 	m.lb = newLabeler(m.pts, m.sets, theta, f, sim)
-	m.scratch.New = func() any { return m.lb.newScratch() }
 	return m, nil
 }
 
@@ -246,37 +237,21 @@ func (m *Model) String() string {
 // The query must use the model's item id space; for a dataset read under
 // its own vocabulary, use AssignDataset.
 func (m *Model) Assign(t dataset.Transaction) int {
-	sc := m.scratch.Get().(*labelScratch)
+	sc := m.lb.getScratch()
 	ci := m.lb.label(t, sc)
-	m.scratch.Put(sc)
+	m.lb.putScratch(sc)
 	return ci
 }
 
 // AssignBatch assigns every query transaction, sharding across workers
-// (0 = GOMAXPROCS) on the same chunked-claim loop the labeling phase
-// uses; batches below the labeling phase's serial crossover take the
-// serial loop, where goroutine handoff would cost more than it saves.
-// Queries are independent, so the output is byte-identical for every
-// worker count and either path — assignments in query order, exactly as
-// if Assign had been called serially. Once the model is warm the serial
-// path allocates only the result.
+// (0 = GOMAXPROCS) through the labeling phase's own dispatch: batches
+// below its serial cutoff take the serial loop, where goroutine handoff
+// would cost more than it saves. Queries are independent, so the output
+// is byte-identical for every worker count and either path — assignments
+// in query order, exactly as if Assign had been called serially. Once
+// the model is warm the serial path allocates only the result.
 func (m *Model) AssignBatch(ts []dataset.Transaction, workers int) []int {
-	serialBelow := m.batchSerialBelow
-	if serialBelow == 0 {
-		serialBelow = DefaultLabelSerialBelow
-	}
-	if serialLabeling(len(ts), workers, serialBelow) {
-		out := make([]int, len(ts))
-		sc := m.scratch.Get().(*labelScratch)
-		for i, t := range ts {
-			out[i] = m.lb.label(t, sc)
-		}
-		m.scratch.Put(sc)
-		return out
-	}
-	return m.lb.runEach(len(ts), func(i int) dataset.Transaction { return ts[i] }, workers, serialBelow,
-		func() *labelScratch { return m.scratch.Get().(*labelScratch) },
-		func(sc *labelScratch) { m.scratch.Put(sc) })
+	return m.lb.run(ts, nil, workers)
 }
 
 // AssignDataset assigns every transaction of a dataset that was read
@@ -331,25 +306,6 @@ func (m *Model) RemapDataset(d *dataset.Dataset) ([]dataset.Transaction, error) 
 		mapped[i] = dataset.NewTransaction(items...)
 	}
 	return mapped, nil
-}
-
-// assignReference is the oracle fixture for the model: a serial loop of
-// labelPoint over the frozen points and sets — the same reference the
-// pipeline's labeling phase is proven against. Unexported; reachable from
-// this package's tests and benchmarks via BenchAssignReference.
-func (m *Model) assignReference(ts []dataset.Transaction) []int {
-	out := make([]int, len(ts))
-	sim := similarity.ByName(m.measure)
-	for i, t := range ts {
-		out[i] = labelPoint(t, m.pts, m.sets, m.theta, m.fval, sim)
-	}
-	return out
-}
-
-// BenchAssignReference runs the serial pairwise reference assignment —
-// exported for the `rockbench -assign` sweep and the Assign benchmarks.
-func BenchAssignReference(m *Model, ts []dataset.Transaction) []int {
-	return m.assignReference(ts)
 }
 
 // denomEqual reports whether the model's frozen normalization matches a

@@ -33,6 +33,18 @@ var modelOracleMeasures = []struct {
 // criteria.
 var modelWorkerCounts = []int{1, 2, 4, 8}
 
+// assignReference is the model's oracle: a serial loop of labelPoint
+// over the frozen points and sets — the same reference the pipeline's
+// labeling phase is proven against.
+func (m *Model) assignReference(ts []dataset.Transaction) []int {
+	out := make([]int, len(ts))
+	sim := similarity.ByName(m.measure)
+	for i, t := range ts {
+		out[i] = labelPoint(t, m.pts, m.sets, m.theta, m.fval, sim)
+	}
+	return out
+}
+
 // modelFixture builds a random frozen model plus the global data it was
 // frozen from: transactions, the labeled subsets (dataset-global
 // indices), and a query set disjoint from the labeled points.
@@ -67,9 +79,6 @@ func modelFixture(r *rand.Rand, m similarity.Measure) (*Model, []dataset.Transac
 	if err != nil {
 		panic(err)
 	}
-	// The fixtures sit far below the AssignBatch serial crossover; force
-	// the sharded path so the oracle actually exercises it.
-	model.batchSerialBelow = -1
 	queries := ts[split:]
 	return model, ts, sets, queries, cfg.Theta, f
 }
@@ -93,9 +102,14 @@ func TestModelOracleAssign(t *testing.T) {
 				t.Fatalf("seed=%d measure=%s query %d: Assign = %d, labelPoint = %d", seed, m.name, i, got, ref[i])
 			}
 		}
+		// The fixtures sit below labelSerialBelow, so AssignBatch runs
+		// serially; the sharded loop is checked directly.
 		for _, workers := range modelWorkerCounts {
 			if got := model.AssignBatch(queries, workers); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("seed=%d measure=%s workers=%d: AssignBatch diverges from labelPoint", seed, m.name, workers)
+			}
+			if got := model.lb.runSharded(queries, nil, workers); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("seed=%d measure=%s workers=%d: sharded AssignBatch diverges from labelPoint", seed, m.name, workers)
 			}
 		}
 		if !model.denomEqual() {
@@ -261,7 +275,6 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed=%d: load: %v", seed, err)
 		}
-		loaded.batchSerialBelow = -1 // exercise the sharded path post-load
 		var b bytes.Buffer
 		if err := loaded.Save(&b); err != nil {
 			t.Fatal(err)
@@ -269,7 +282,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatalf("seed=%d: save→load→save not byte-identical (%d vs %d bytes)", seed, a.Len(), b.Len())
 		}
-		if !reflect.DeepEqual(model.AssignBatch(queries, 1), loaded.AssignBatch(queries, 3)) {
+		if !reflect.DeepEqual(model.AssignBatch(queries, 1), loaded.lb.runSharded(queries, nil, 3)) {
 			t.Fatalf("seed=%d: loaded model assigns differently", seed)
 		}
 		if loaded.Theta() != model.Theta() || loaded.F() != model.F() ||
@@ -615,7 +628,7 @@ func TestModelSparseItemIDs(t *testing.T) {
 		t.Fatal("sparse ids fell back to the pairwise path; the map index should serve them")
 	}
 	queries := ts[4:]
-	want := BenchAssignReference(m, queries)
+	want := m.assignReference(queries)
 	if got := m.AssignBatch(queries, 2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sparse postings disagree with the pairwise reference: %v vs %v", got, want)
 	}

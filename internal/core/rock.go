@@ -175,9 +175,9 @@ func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
 
 	// Phase 4: links over the kept sample, built directly in CSR form.
 	// The sharded builder splits the O(Σ m_i²) pair counting across
-	// cfg.Workers goroutines; small samples take the serial reference
-	// path. Either way the table is bit-identical and deterministic.
-	lt := linkage.Build(keptNb, linkage.Options{Workers: cfg.Workers, SerialBelow: cfg.LinkSerialBelow})
+	// cfg.Workers goroutines; the table is bit-identical for every
+	// worker count.
+	lt := linkage.Build(keptNb, linkage.Options{Workers: cfg.Workers})
 	res.Stats.LinkPairs = lt.Pairs()
 	res.Stats.LinkEntries = int64(lt.Entries())
 
@@ -191,7 +191,7 @@ func Cluster(ts []dataset.Transaction, cfg Config) (*Result, error) {
 			weedTrigger = cfg.K
 		}
 	}
-	eng := agglomerateAuto(len(kept), lt, cfg.K, cfg.Goodness, cfg.fval(), weedTrigger, cfg.WeedMaxSize, cfg.TraceMerges, cfg.Workers, cfg.MergeSerialBelow)
+	eng := agglomerateAuto(len(kept), lt, cfg.K, cfg.Goodness, cfg.fval(), weedTrigger, cfg.WeedMaxSize, cfg.TraceMerges, cfg.Workers)
 	res.Stats.Merges = eng.merges
 	res.Stats.StoppedEarly = eng.stoppedEarly
 	res.Stats.Weeded = len(eng.weeded)

@@ -127,7 +127,7 @@ func ClusterSeeded(ts []dataset.Transaction, seed [][]int, cfg Config) (*Result,
 	// point in ascending order. The fold sums point-level counts between
 	// distinct initial clusters; intra-group links vanish, exactly as
 	// they would had the groups been merged pairwise.
-	plt := linkage.Build(keptNb, linkage.Options{Workers: cfg.Workers, SerialBelow: cfg.LinkSerialBelow})
+	plt := linkage.Build(keptNb, linkage.Options{Workers: cfg.Workers})
 	res.Stats.LinkPairs = plt.Pairs()
 	res.Stats.LinkEntries = int64(plt.Entries())
 

@@ -13,10 +13,9 @@ import (
 )
 
 // AssignBenchRow is one point of the frozen-model serving sweep: the
-// serial pairwise reference assignment, the model's indexed Assign, and
-// AssignBatch across worker counts, all answering the same queries from
-// the same frozen model — plus the Save/Load cost and file size of the
-// model itself.
+// model's AssignBatch on one worker and across worker counts, answering
+// the same queries from the same frozen model — plus the Save/Load cost
+// and file size of the model itself.
 type AssignBenchRow struct {
 	N         int     `json:"n"`
 	Queries   int     `json:"queries"`
@@ -27,9 +26,7 @@ type AssignBenchRow struct {
 	Outliers  int     `json:"outliers"`
 	// Timing: best of 3 runs against the prebuilt model, so only the
 	// serving path is measured.
-	PairwiseSec float64 `json:"pairwise_sec"`
-	AssignSec   float64 `json:"assign_sec"`
-	Speedup     float64 `json:"speedup"` // pairwise_sec / assign_sec
+	AssignSec float64 `json:"assign_sec"`
 	// AssignBatch at each worker count, against the single-worker batch
 	// as baseline.
 	Parallel []AssignParallelPoint `json:"parallel"`
@@ -55,13 +52,13 @@ type AssignBenchReport struct {
 	Notes      []string         `json:"notes"`
 }
 
-// BenchAssign times the serial pairwise reference against a frozen
-// model's Assign/AssignBatch on the labeling workload, and records the
-// model's Save/Load round-trip cost — the perf trajectory record behind
-// `rockbench -assign`. Assignment agreement between the reference, the
-// model, and a save→load→assign round trip is re-verified on every row
-// before timing (the model oracle test provides the byte-level
-// guarantee; this is the belt to its suspenders).
+// BenchAssign times a frozen model's AssignBatch on the labeling
+// workload across worker counts, and records the model's Save/Load
+// round-trip cost — the perf trajectory record behind `rockbench
+// -assign`. Agreement between worker counts and a save→load→assign round
+// trip is re-verified on every row before timing (the model oracle test
+// provides the byte-level guarantee against the pairwise reference; this
+// is the belt to its suspenders).
 func BenchAssign(w io.Writer, opts Options) error {
 	ns := []int{5000, 12500, 25000}
 	if opts.Quick {
@@ -75,13 +72,11 @@ func BenchAssign(w io.Writer, opts Options) error {
 		Quick:      opts.Quick,
 		Notes: []string{
 			cpuNote(),
-			"pairwise is the paper's labeling loop run per query; assign serves the same queries from a frozen model (inverted index over the frozen labeled points, θ-test decided from (|t∩q|, |t|, |q|)).",
+			"assign serves queries from a frozen model (inverted index over the frozen labeled points, θ-test decided from (|t∩q|, |t|, |q|)).",
 			"the model is frozen from the same clustered sample and L_i sets the -label sweep uses (every 5th transaction clustered; sets per LabelFraction/MaxLabelPoints defaults); queries are the remaining points.",
-			"times are best-of-3 seconds for the serving path alone; speedup = pairwise_sec / assign_sec.",
-			"parallel rows run AssignBatch across workers on the same model: speedup = assign_sec / sec.",
+			"times are best-of-3 seconds for the serving path alone; parallel rows run AssignBatch across workers on the same model: speedup = assign_sec / sec.",
 			"model_bytes / save_sec / load_sec measure the frozen artifact: a versioned, checksummed binary whose save→load→save round trip is byte-identical.",
-			"parallel numbers only show scaling when GOMAXPROCS exceeds one — at GOMAXPROCS=1 the workers serialize and pay only the chunk-handoff overhead; rerun on a multi-core host to capture the curve.",
-			"reference, in-process model, and reloaded model agree on every row (verified before timing); the model oracle test enforces bit-identity under -race.",
+			"every worker count and the reloaded model agree on every row (verified before timing); the model oracle test enforces bit-identity with the pairwise reference under -race.",
 		},
 	}
 	for _, n := range ns {
@@ -98,10 +93,12 @@ func BenchAssign(w io.Writer, opts Options) error {
 			queries = append(queries, ts[p])
 		}
 
-		ref := core.BenchAssignReference(model, queries)
-		got := model.AssignBatch(queries, 1)
-		if !reflect.DeepEqual(ref, got) {
-			return fmt.Errorf("expt: model disagrees with the pairwise reference at n=%d — refusing to record timings", n)
+		ref := model.AssignBatch(queries, 1)
+		workerCounts := []int{1, 2, 4}
+		for _, workers := range workerCounts {
+			if !reflect.DeepEqual(ref, model.AssignBatch(queries, workers)) {
+				return fmt.Errorf("expt: AssignBatch disagrees at n=%d workers=%d — refusing to record timings", n, workers)
+			}
 		}
 		var file bytes.Buffer
 		if err := model.Save(&file); err != nil {
@@ -122,10 +119,9 @@ func BenchAssign(w io.Writer, opts Options) error {
 		row := AssignBenchRow{
 			N: n, Queries: len(queries),
 			Sets: len(sets), SetPoints: setPoints, Theta: theta,
-			PairwiseSec: bestOf(3, func() { core.BenchAssignReference(model, queries) }),
-			AssignSec:   bestOf(3, func() { model.AssignBatch(queries, 1) }),
-			ModelBytes:  file.Len(),
-			SaveSec:     bestOf(3, func() { model.Save(io.Discard) }),
+			AssignSec:  bestOf(3, func() { model.AssignBatch(queries, 1) }),
+			ModelBytes: file.Len(),
+			SaveSec:    bestOf(3, func() { model.Save(io.Discard) }),
 			LoadSec: bestOf(3, func() {
 				if _, err := core.LoadModel(bytes.NewReader(file.Bytes())); err != nil {
 					panic(err)
@@ -139,15 +135,10 @@ func BenchAssign(w io.Writer, opts Options) error {
 				row.Outliers++
 			}
 		}
-		row.Speedup = row.PairwiseSec / row.AssignSec
-		for _, workers := range []int{1, 2, 4} {
-			wk := workers
-			if !reflect.DeepEqual(ref, model.AssignBatch(queries, wk)) {
-				return fmt.Errorf("expt: AssignBatch disagrees at n=%d workers=%d — refusing to record timings", n, wk)
-			}
-			sec := bestOf(3, func() { model.AssignBatch(queries, wk) })
+		for _, workers := range workerCounts {
+			sec := bestOf(3, func() { model.AssignBatch(queries, workers) })
 			row.Parallel = append(row.Parallel, AssignParallelPoint{
-				Workers: wk, Sec: sec, Speedup: row.AssignSec / sec,
+				Workers: workers, Sec: sec, Speedup: row.AssignSec / sec,
 			})
 		}
 		report.Rows = append(report.Rows, row)

@@ -12,9 +12,9 @@ import (
 	"github.com/rockclust/rock/internal/synth"
 )
 
-// LabelBenchRow is one point of the labeling sweep: the serial pairwise
-// reference, the indexed labeler, and the indexed labeler sharded across
-// workers, all assigning the same candidates against the same L_i sets.
+// LabelBenchRow is one point of the labeling sweep: the indexed labeler
+// on the serial loop and sharded across workers, all assigning the same
+// candidates against the same L_i sets.
 type LabelBenchRow struct {
 	N          int     `json:"n"`
 	Sampled    int     `json:"sampled"`
@@ -26,9 +26,7 @@ type LabelBenchRow struct {
 	Unlabeled  int     `json:"unlabeled"`
 	// Timing: best of 3 runs over prebuilt sets, so only the labeling
 	// phase is measured.
-	PairwiseSec float64 `json:"pairwise_sec"`
-	IndexedSec  float64 `json:"indexed_sec"`
-	Speedup     float64 `json:"speedup"` // pairwise_sec / indexed_sec
+	IndexedSec float64 `json:"indexed_sec"`
 	// The sharded labeler at each worker count, against the serial
 	// indexed labeler as baseline.
 	Parallel []LabelParallelPoint `json:"parallel"`
@@ -97,12 +95,12 @@ func LabelFixture(n int, seed int64) (ts []dataset.Transaction, candidates []int
 	return d.Trans, candidates, sets, nil
 }
 
-// BenchLabel times the serial pairwise reference labeler against the
-// inverted-index labeler (serial and sharded) on the sampled basket
-// workload and writes the result as JSON — the perf trajectory record
-// behind `rockbench -label`. Assignment agreement across all three paths
-// is re-verified on each dataset before timing (the label oracle test
-// provides the byte-level guarantee; this is the belt to its suspenders).
+// BenchLabel times the inverted-index labeler, serial and sharded, on
+// the sampled basket workload and writes the result as JSON — the perf
+// trajectory record behind `rockbench -label`. Assignment agreement
+// across the paths is re-verified on each dataset before timing (the
+// label oracle test provides the byte-level guarantee against the
+// pairwise reference; this is the belt to its suspenders).
 func BenchLabel(w io.Writer, opts Options) error {
 	ns := []int{5000, 12500, 25000}
 	if opts.Quick {
@@ -116,12 +114,11 @@ func BenchLabel(w io.Writer, opts Options) error {
 		Quick:      opts.Quick,
 		Notes: []string{
 			cpuNote(),
-			"pairwise is the paper's labeling loop (every candidate against every labeled point); indexed counts intersections through block postings over the labeled points into bit-sliced counters, 64 points per machine word, and decides the θ-test exactly from (|t∩q|, |t|, |q|).",
+			"indexed counts intersections through block postings over the labeled points into bit-sliced counters, 64 points per machine word, and decides the θ-test exactly from (|t∩q|, |t|, |q|).",
 			"the sample is every 5th transaction, clustered with full ROCK; L_i sets take every 4th member of each cluster capped at 50, as Config.LabelFraction/MaxLabelPoints defaults would.",
-			"times are best-of-3 seconds for the labeling phase alone over prebuilt sets on the basket workload; speedup = pairwise_sec / indexed_sec.",
+			"times are best-of-3 seconds for the labeling phase alone over prebuilt sets on the basket workload.",
 			"parallel rows shard candidates across workers over the same index: speedup = indexed_sec / sec.",
-			"parallel numbers only show scaling when GOMAXPROCS exceeds one — at GOMAXPROCS=1 the workers serialize and pay only the chunk-handoff overhead; rerun on a multi-core host to capture the curve.",
-			"all three paths produce identical assignments on every row (verified before timing); the label oracle test enforces byte-identical pipeline output across measures and worker counts.",
+			"all paths produce identical assignments on every row (verified before timing); the label oracle test enforces byte-identical pipeline output against the pairwise reference across measures and worker counts.",
 		},
 	}
 	for _, n := range ns {
@@ -136,35 +133,30 @@ func BenchLabel(w io.Writer, opts Options) error {
 		s := n - len(candidates)
 		f := core.MarketBasketF(theta)
 
-		ref := core.BenchLabelReference(ts, candidates, sets, theta, f)
 		indexed := core.BenchLabelIndexed(ts, candidates, sets, theta, f)
-		if !reflect.DeepEqual(ref, indexed) {
-			return fmt.Errorf("expt: labelers disagree at n=%d — refusing to record timings", n)
+		workerCounts := []int{1, 2, 4}
+		for _, workers := range workerCounts {
+			if !reflect.DeepEqual(indexed, core.BenchLabelParallel(ts, candidates, sets, theta, f, workers)) {
+				return fmt.Errorf("expt: sharded labeler disagrees at n=%d workers=%d — refusing to record timings", n, workers)
+			}
 		}
 
 		row := LabelBenchRow{
 			N: n, Sampled: s, Candidates: len(candidates),
 			Sets: len(sets), SetPoints: setPoints, Theta: theta,
-			PairwiseSec: bestOf(3, func() { core.BenchLabelReference(ts, candidates, sets, theta, f) }),
-			IndexedSec:  bestOf(3, func() { core.BenchLabelIndexed(ts, candidates, sets, theta, f) }),
+			IndexedSec: bestOf(3, func() { core.BenchLabelIndexed(ts, candidates, sets, theta, f) }),
 		}
-		for _, a := range ref {
+		for _, a := range indexed {
 			if a >= 0 {
 				row.Labeled++
 			} else {
 				row.Unlabeled++
 			}
 		}
-		row.Speedup = row.PairwiseSec / row.IndexedSec
-		for _, workers := range []int{1, 2, 4} {
-			wk := workers
-			par := core.BenchLabelParallel(ts, candidates, sets, theta, f, wk)
-			if !reflect.DeepEqual(ref, par) {
-				return fmt.Errorf("expt: sharded labeler disagrees at n=%d workers=%d — refusing to record timings", n, wk)
-			}
-			sec := bestOf(3, func() { core.BenchLabelParallel(ts, candidates, sets, theta, f, wk) })
+		for _, workers := range workerCounts {
+			sec := bestOf(3, func() { core.BenchLabelParallel(ts, candidates, sets, theta, f, workers) })
 			row.Parallel = append(row.Parallel, LabelParallelPoint{
-				Workers: wk, Sec: sec, Speedup: row.IndexedSec / sec,
+				Workers: workers, Sec: sec, Speedup: row.IndexedSec / sec,
 			})
 		}
 		report.Rows = append(report.Rows, row)

@@ -12,23 +12,19 @@ import (
 	"github.com/rockclust/rock/internal/synth"
 )
 
-// LinkBenchRow is one point of the serial-vs-parallel link sweep.
+// LinkBenchRow is one point of the link-builder sweep.
 type LinkBenchRow struct {
 	N         int                 `json:"n"`
 	Theta     float64             `json:"theta"`
 	LinkPairs int                 `json:"link_pairs"`
-	SerialSec float64             `json:"serial_sec"`
 	Parallel  []LinkBenchParallel `json:"parallel"`
-	// SpeedupBest is SerialSec over the fastest parallel time — the
-	// headline number of the perf trajectory.
-	SpeedupBest float64 `json:"speedup_best"`
 }
 
-// LinkBenchParallel is the parallel CSR builder timed at one worker count.
+// LinkBenchParallel is linkage.Build timed at one worker count.
 type LinkBenchParallel struct {
 	Workers int     `json:"workers"`
 	Sec     float64 `json:"sec"`
-	Speedup float64 `json:"speedup"` // serial_sec / sec
+	Speedup float64 `json:"speedup"` // sec at workers=1 / sec
 }
 
 // LinkBenchReport is the BENCH_links.json payload.
@@ -40,12 +36,11 @@ type LinkBenchReport struct {
 	Notes      []string       `json:"notes"`
 }
 
-// BenchLinks times the serial map-based link builder (FromNeighbors)
-// against the sharded parallel CSR builder (FromNeighborsCSR) on the E6
-// ScaleUp workload sizes and writes the result as JSON — the perf
-// trajectory record behind `rockbench -links`. Every timing is the best
-// of three runs; oracle agreement between the builders is re-verified on
-// each dataset before timing.
+// BenchLinks times the sharded CSR link builder (linkage.Build) across
+// worker counts on the E6 ScaleUp workload sizes and writes the result as
+// JSON — the perf trajectory record behind `rockbench -links`. Every
+// timing is the best of three runs; the table is re-verified identical
+// at every worker count before timing.
 func BenchLinks(w io.Writer, opts Options) error {
 	ns := []int{1000, 2000, 5000}
 	if opts.Quick {
@@ -60,14 +55,13 @@ func BenchLinks(w io.Writer, opts Options) error {
 		Quick:      opts.Quick,
 		Notes: []string{
 			cpuNote(),
-			"serial is the paper's map-accumulating FromNeighbors; parallel is the sharded CSR builder FromNeighborsCSR.",
-			"times are best-of-3 seconds on the E6 ScaleUp basket workload; speedup = serial_sec / sec.",
-			"the parallel builder wins even at workers=1 by replacing map inserts with dense array counting.",
+			"linkage.Build is the sharded CSR builder: rows in 128-row shards, dense scratch counting per worker; its tables equal the paper's map-based pair counting (TestParallelCSRMatchesOracles).",
+			"times are best-of-3 seconds on the E6 ScaleUp basket workload; speedup = sec at workers=1 / sec.",
 		},
 	}
 	if report.GOMAXPROCS < 4 {
 		report.Notes = append(report.Notes,
-			fmt.Sprintf("measured at GOMAXPROCS=%d: worker counts above the core count timeshare one CPU, so only the algorithmic (workers=1) speedup is observable here; rerun on a multi-core host for the scaling curve.", report.GOMAXPROCS))
+			fmt.Sprintf("measured at GOMAXPROCS=%d: worker counts above the core count timeshare the CPUs.", report.GOMAXPROCS))
 	}
 	for _, n := range ns {
 		d := synth.Basket(synth.BasketConfig{
@@ -79,27 +73,22 @@ func BenchLinks(w io.Writer, opts Options) error {
 		})
 		nb := similarity.ComputeIndexed(d.Trans, theta, similarity.Options{})
 
-		serialTable := linkage.FromNeighbors(nb)
-		if !linkage.CompactFrom(serialTable).Equal(linkage.FromNeighborsCSR(nb, 0)) {
-			return fmt.Errorf("expt: link builders disagree at n=%d — refusing to record timings", n)
-		}
-
-		row := LinkBenchRow{
-			N:         n,
-			Theta:     theta,
-			LinkPairs: serialTable.Pairs(),
-			SerialSec: bestOf(3, func() { linkage.FromNeighbors(nb) }),
-		}
-		best := 0.0
+		base := linkage.Build(nb, linkage.Options{Workers: 1})
 		for _, workers := range workerCounts {
-			sec := bestOf(3, func() { linkage.FromNeighborsCSR(nb, workers) })
-			p := LinkBenchParallel{Workers: workers, Sec: sec, Speedup: row.SerialSec / sec}
-			row.Parallel = append(row.Parallel, p)
-			if p.Speedup > best {
-				best = p.Speedup
+			if !linkage.Build(nb, linkage.Options{Workers: workers}).Equal(base) {
+				return fmt.Errorf("expt: link tables differ at n=%d workers=%d — refusing to record timings", n, workers)
 			}
 		}
-		row.SpeedupBest = best
+
+		row := LinkBenchRow{N: n, Theta: theta, LinkPairs: base.Pairs()}
+		for _, workers := range workerCounts {
+			sec := bestOf(3, func() { linkage.Build(nb, linkage.Options{Workers: workers}) })
+			p := LinkBenchParallel{Workers: workers, Sec: sec, Speedup: 1}
+			if len(row.Parallel) > 0 {
+				p.Speedup = row.Parallel[0].Sec / sec
+			}
+			row.Parallel = append(row.Parallel, p)
+		}
 		report.Rows = append(report.Rows, row)
 	}
 

@@ -33,10 +33,9 @@ func runA6(opts Options) (*Report, error) {
 	}
 
 	timeExact := Series{Name: "exact (s)"}
-	timeRef := Series{Name: "lsh reference (s)"}
 	timeLSH := Series{Name: "lsh pipeline (s)"}
 	recall := Series{Name: "edge recall"}
-	headers := []string{"n", "exact s", "ref s", "lsh s", "recall", "exact err", "lsh err"}
+	headers := []string{"n", "exact s", "lsh s", "recall", "exact err", "lsh err"}
 	var rows [][]string
 	for _, n := range ns {
 		d := synth.Basket(synth.BasketConfig{
@@ -50,7 +49,6 @@ func runA6(opts Options) (*Report, error) {
 		})
 		var exact, approx *similarity.Neighbors
 		te := timeIt(func() { exact = similarity.ComputeIndexed(d.Trans, theta, similarity.Options{}) })
-		tr := timeIt(func() { similarity.ComputeLSHReference(d.Trans, theta, lshOpts()) })
 		tl := timeIt(func() { approx = similarity.ComputeLSH(d.Trans, theta, lshOpts()) })
 		_, _, exactEdges := exact.Stats()
 		_, _, lshEdges := approx.Stats()
@@ -60,8 +58,6 @@ func runA6(opts Options) (*Report, error) {
 		}
 		timeExact.X = append(timeExact.X, float64(n))
 		timeExact.Y = append(timeExact.Y, te)
-		timeRef.X = append(timeRef.X, float64(n))
-		timeRef.Y = append(timeRef.Y, tr)
 		timeLSH.X = append(timeLSH.X, float64(n))
 		timeLSH.Y = append(timeLSH.Y, tl)
 		recall.X = append(recall.X, float64(n))
@@ -80,17 +76,17 @@ func runA6(opts Options) (*Report, error) {
 		evL := metrics.Evaluate(lshRes.Assign, d.Labels)
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.3f", te), fmt.Sprintf("%.3f", tr), fmt.Sprintf("%.3f", tl),
+			fmt.Sprintf("%.3f", te), fmt.Sprintf("%.3f", tl),
 			fmt.Sprintf("%.4f", rec),
 			fmt.Sprintf("%.4f", evE.Error), fmt.Sprintf("%.4f", evL.Error),
 		})
 	}
 	return &Report{
 		Tables: []string{FormatTable(headers, rows)},
-		Series: []Series{timeExact, timeRef, timeLSH, recall},
+		Series: []Series{timeExact, timeLSH, recall},
 		Notes: []string{
 			"LSH: 96 hashes, 32 bands (candidate threshold ≈ 0.31 < θ = 0.45); candidates verified exactly, so no false-positive neighbors.",
-			"columns: 'ref s' is the prototype map-based ComputeLSHReference, 'lsh s' the sort-based sharded pipeline (byte-identical neighbor lists, see TestLSHOracle).",
+			"'lsh s' is the sort-based sharded pipeline, whose neighbor lists equal the prototype oracle's (TestLSHOracle).",
 			"measured shape: recall ≈ 0.97 at identical clustering error. An earlier revision recorded an honest negative result here — the prototype LSH lost to the count-based exact index at every in-suite scale. The sort-based pipeline flips that verdict: it retires the per-band hash maps and per-point candidate sets that dominated the prototype's runtime, and overtakes the exact index once hub posting lists make the index superlinear (n ≳ 10⁵ — beyond this table; see BENCH_neighbors.json for the crossover and the 10⁶-point runs).",
 		},
 	}, nil

@@ -12,9 +12,8 @@ import (
 	"github.com/rockclust/rock/internal/synth"
 )
 
-// MergeBenchRow is one point of the agglomeration sweep: the map-based
-// reference, the serial arena, and the parallel batched engine on the
-// same prebuilt link table.
+// MergeBenchRow is one point of the agglomeration sweep: the serial
+// arena and the parallel batched engine on the same prebuilt link table.
 type MergeBenchRow struct {
 	N         int     `json:"n"`
 	K         int     `json:"k"`
@@ -24,17 +23,13 @@ type MergeBenchRow struct {
 	Clusters  int     `json:"clusters"`
 	// Timing: best of 3 runs over a prebuilt link table, so only the
 	// agglomeration phase is measured.
-	MapSec   float64 `json:"map_sec"`
 	ArenaSec float64 `json:"arena_sec"`
-	Speedup  float64 `json:"speedup"` // map_sec / arena_sec
+	// ArenaAllocs counts heap allocations for one arena run
+	// (runtime.Mallocs delta).
+	ArenaAllocs uint64 `json:"arena_allocs"`
 	// The serial-vs-parallel column: the batched engine at each worker
 	// count, against the serial arena as baseline.
 	Parallel []MergeParallelPoint `json:"parallel"`
-	// Allocation counts for a single run of each engine (runtime.Mallocs
-	// delta), and their ratio — the arena's headline win.
-	MapAllocs   uint64  `json:"map_allocs"`
-	ArenaAllocs uint64  `json:"arena_allocs"`
-	AllocRatio  float64 `json:"alloc_ratio"` // map_allocs / arena_allocs
 }
 
 // MergeParallelPoint is the batched engine's timing at one worker count.
@@ -53,12 +48,12 @@ type MergeBenchReport struct {
 	Notes      []string        `json:"notes"`
 }
 
-// BenchMerge times the reference map-based agglomeration engine against
-// the arena engine on basket workloads and writes the result as JSON —
-// the perf trajectory record behind `rockbench -merge`. Output agreement
-// between the engines is re-verified on each dataset before timing (the
-// oracle test provides the byte-level guarantee; this is the belt to its
-// suspenders).
+// BenchMerge times the serial arena engine against the batched engine
+// across worker counts on basket workloads and writes the result as JSON
+// — the perf trajectory record behind `rockbench -merge`. Output
+// agreement between the engines is re-verified on each dataset before
+// timing (the engine oracle test provides the byte-level guarantee; this
+// is the belt to its suspenders).
 func BenchMerge(w io.Writer, opts Options) error {
 	ns := []int{2000, 5000, 10000}
 	if opts.Quick {
@@ -72,12 +67,10 @@ func BenchMerge(w io.Writer, opts Options) error {
 		Quick:      opts.Quick,
 		Notes: []string{
 			cpuNote(),
-			"map is the reference engine (map[int]*clus, per-merge map rebuilds, one indexed heap per cluster); arena is the flat-slot engine with sorted link rows and a single lazy heap.",
-			"times are best-of-3 seconds for the agglomeration phase alone, over a prebuilt CSR link table on the basket workload; speedup = map_sec / arena_sec.",
+			"arena is the flat-slot engine with sorted link rows and a single lazy heap; times are best-of-3 seconds for the agglomeration phase alone, over a prebuilt CSR link table on the basket workload.",
 			"parallel rows time the batched merge engine (conflict-free merge rounds executed across workers) against the serial arena: speedup = arena_sec / sec.",
-			"parallel numbers only show scaling when GOMAXPROCS exceeds one — at GOMAXPROCS=1 the workers serialize and the batched engine pays its round overhead for at most the round-level heap-repair win; rerun on a multi-core host to capture the curve.",
-			"alloc counts are runtime.Mallocs deltas for one run of each engine; alloc_ratio = map_allocs / arena_allocs.",
-			"all engines produce identical clusterings on every row (verified before timing); the engine oracle test enforces byte-identical output across configurations and worker counts.",
+			"arena_allocs is the runtime.Mallocs delta for one arena run.",
+			"both engines produce identical clusterings on every row (verified before timing); the engine oracle test enforces byte-identical output against the map-based reference across configurations and worker counts.",
 		},
 	}
 	for _, n := range ns {
@@ -96,34 +89,26 @@ func BenchMerge(w io.Writer, opts Options) error {
 		lt := linkage.Build(nb, linkage.Options{})
 		f := core.MarketBasketF(theta)
 
-		mc, mm := core.BenchAgglomerateMap(n, lt, k, f)
 		ac, am := core.BenchAgglomerateArena(n, lt, k, f)
-		if mc != ac || mm != am {
-			return fmt.Errorf("expt: engines disagree at n=%d (map %d/%d, arena %d/%d) — refusing to record timings", n, mc, mm, ac, am)
+		workerCounts := []int{1, 2, 4}
+		for _, workers := range workerCounts {
+			if pc, pm := core.BenchAgglomerateParallel(n, lt, k, f, workers); pc != ac || pm != am {
+				return fmt.Errorf("expt: batched engine disagrees at n=%d workers=%d (arena %d/%d, batched %d/%d) — refusing to record timings", n, workers, ac, am, pc, pm)
+			}
 		}
 
 		row := MergeBenchRow{
 			N: n, K: k, Theta: theta,
-			LinkPairs: lt.Pairs(),
-			Merges:    am, Clusters: ac,
-			MapSec:      bestOf(3, func() { core.BenchAgglomerateMap(n, lt, k, f) }),
+			LinkPairs:   lt.Pairs(),
+			Merges:      am,
+			Clusters:    ac,
 			ArenaSec:    bestOf(3, func() { core.BenchAgglomerateArena(n, lt, k, f) }),
-			MapAllocs:   mallocsOf(func() { core.BenchAgglomerateMap(n, lt, k, f) }),
 			ArenaAllocs: mallocsOf(func() { core.BenchAgglomerateArena(n, lt, k, f) }),
 		}
-		row.Speedup = row.MapSec / row.ArenaSec
-		if row.ArenaAllocs > 0 {
-			row.AllocRatio = float64(row.MapAllocs) / float64(row.ArenaAllocs)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			pc, pm := core.BenchAgglomerateParallel(n, lt, k, f, workers)
-			if pc != ac || pm != am {
-				return fmt.Errorf("expt: batched engine disagrees at n=%d workers=%d (arena %d/%d, batched %d/%d) — refusing to record timings", n, workers, ac, am, pc, pm)
-			}
-			w := workers
-			sec := bestOf(3, func() { core.BenchAgglomerateParallel(n, lt, k, f, w) })
+		for _, workers := range workerCounts {
+			sec := bestOf(3, func() { core.BenchAgglomerateParallel(n, lt, k, f, workers) })
 			row.Parallel = append(row.Parallel, MergeParallelPoint{
-				Workers: w, Sec: sec, Speedup: row.ArenaSec / sec,
+				Workers: workers, Sec: sec, Speedup: row.ArenaSec / sec,
 			})
 		}
 		report.Rows = append(report.Rows, row)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 
 	"github.com/rockclust/rock/internal/core"
@@ -13,21 +14,18 @@ import (
 )
 
 // NeighborBenchRow is one point of the neighbor-phase sweep: the exact
-// inverted index against the prototype map-based LSH and the sort-based
-// sharded pipeline, on the hub-heavy basket workload where the exact
-// index degrades toward O(n²).
+// inverted index against the sort-based sharded LSH pipeline, on the
+// hub-heavy basket workload where the exact index degrades toward O(n²).
 type NeighborBenchRow struct {
 	N     int     `json:"n"`
 	Theta float64 `json:"theta"`
-	// ExactSec and RefSec are zero when the variant was skipped (the
+	// ExactSec is zero when the exact index was skipped (the
 	// million-point row times only the pipeline).
 	ExactSec float64 `json:"exact_sec,omitempty"`
-	RefSec   float64 `json:"ref_sec,omitempty"`
 	LSHSec   float64 `json:"lsh_sec"`
-	// SpeedupVsExact/Ref are LSH pipeline speedups (exact_sec/lsh_sec,
-	// ref_sec/lsh_sec); zero when the comparator was skipped.
+	// SpeedupVsExact is the LSH pipeline's speedup exact_sec/lsh_sec;
+	// zero when the exact index was skipped.
 	SpeedupVsExact float64 `json:"speedup_vs_exact,omitempty"`
-	SpeedupVsRef   float64 `json:"speedup_vs_ref,omitempty"`
 	// Recall is edge recall against the exact neighbor relation:
 	// measured over every exact edge when the exact index ran
 	// (RecallMeasured), otherwise the pipeline's sampled-ledger estimate.
@@ -90,15 +88,15 @@ func neighborBenchData(n int, seed int64) []dataset.Transaction {
 	return d.Trans
 }
 
-// BenchNeighbors times the neighbor phase three ways — exact inverted
-// index (ComputeIndexed), prototype map-based LSH (ComputeLSHReference),
-// sort-based sharded LSH pipeline (ComputeLSH) — and writes the result
-// as JSON: the perf-trajectory record behind `rockbench -neighbors`.
-// Recall is measured exactly wherever the exact index is feasible. With
-// Options.Long the sweep adds a 10⁶-point pipeline-only row (comparators
-// skipped: the prototype's maps and the index's hub postings are the
-// problem being escaped) and an end-to-end ChunkedCluster run at 10⁶
-// through the LSH path.
+// BenchNeighbors times the neighbor phase two ways — the exact inverted
+// index (ComputeIndexed) and the sort-based sharded LSH pipeline
+// (ComputeLSH) — and writes the result as JSON: the perf-trajectory
+// record behind `rockbench -neighbors`. Recall is measured exactly
+// wherever the exact index is feasible, and the pipeline's lists are
+// re-verified identical at one worker and at GOMAXPROCS before timing.
+// With Options.Long the sweep adds a 10⁶-point pipeline-only row (the
+// exact index skipped: its hub postings are the problem being escaped)
+// and an end-to-end ChunkedCluster run at 10⁶ through the LSH path.
 func BenchNeighbors(w io.Writer, opts Options) error {
 	ns := []int{10000, 30000, 100000}
 	if opts.Quick {
@@ -118,7 +116,7 @@ func BenchNeighbors(w io.Writer, opts Options) error {
 		Notes: []string{
 			cpuNote(),
 			"workload: hub-heavy baskets (15 universal noise items, rate 0.15) with n/200 clusters — hub posting lists grow with n, degrading the exact index toward O(n²) candidate work.",
-			"exact is the counted inverted index ComputeIndexed; ref is the prototype map-based ComputeLSHReference; lsh is the sort-based sharded pipeline ComputeLSH (96 hashes / 32 bands, θ=0.45; neighbor lists byte-identical to ref, see TestLSHOracle).",
+			"exact is the counted inverted index ComputeIndexed; lsh is the sort-based sharded pipeline ComputeLSH (96 hashes / 32 bands, θ=0.45; neighbor lists byte-identical to the prototype oracle, see TestLSHOracle).",
 			"recall_measured=true rows compare every exact edge against the pipeline's lists; the million-point row reports the pipeline's own sampled-recall ledger instead.",
 			"timings are best-of-3 below n=10⁵ and single-run at or above it.",
 		},
@@ -130,13 +128,17 @@ func BenchNeighbors(w io.Writer, opts Options) error {
 		if n >= 100000 {
 			runs = 1
 		}
+		serialOpts := lshOpts()
+		serialOpts.Workers = 1
+		if !reflect.DeepEqual(similarity.ComputeLSH(ts, theta, serialOpts).Lists, similarity.ComputeLSH(ts, theta, lshOpts()).Lists) {
+			return fmt.Errorf("expt: LSH neighbor lists differ across worker counts at n=%d — refusing to record timings", n)
+		}
+
 		var exact, approx *similarity.Neighbors
 		row := NeighborBenchRow{N: n, Theta: theta}
 		row.ExactSec = bestOf(runs, func() { exact = similarity.ComputeIndexed(ts, theta, similarity.Options{}) })
-		row.RefSec = bestOf(runs, func() { similarity.ComputeLSHReference(ts, theta, lshOpts()) })
 		row.LSHSec = bestOf(runs, func() { approx = similarity.ComputeLSH(ts, theta, lshOpts()) })
 		row.SpeedupVsExact = row.ExactSec / row.LSHSec
-		row.SpeedupVsRef = row.RefSec / row.LSHSec
 
 		var hit int64
 		for i := range ts {

@@ -22,11 +22,11 @@ func randomTransactions(r *rand.Rand, n, maxItems, vocab int) []dataset.Transact
 	return ts
 }
 
-// The parallel sharded CSR builder must agree bit for bit with both
-// reference algorithms — the paper's serial pair counting and the dense
-// bitset-intersection oracle — across randomized workloads varying n, θ,
-// measure, self-inclusion and worker count. Run under -race this also
-// exercises the builder's sharding for data races.
+// Build must agree bit for bit with both oracles — the paper's serial
+// pair counting and the dense bitset-intersection recount — across
+// randomized workloads varying n, θ, measure, self-inclusion and worker
+// count, plus sizes on each side of the shard edges. Run under -race this
+// also exercises the builder's sharding for data races.
 func TestParallelCSRMatchesOracles(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	measures := []struct {
@@ -39,10 +39,14 @@ func TestParallelCSRMatchesOracles(t *testing.T) {
 		{"overlap", similarity.Overlap},
 	}
 	thetas := []float64{0.1, 0.3, 0.5, 0.7}
-	workerCounts := []int{1, 2, 3, 8}
+	workerCounts := []int{1, 2, 3, 4, 8}
+	shardEdges := []int{0, 1, shardRows - 1, shardRows, shardRows + 1, 300}
 
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 40+len(shardEdges); trial++ {
 		n := r.Intn(160)
+		if trial >= 40 {
+			n = shardEdges[trial-40]
+		}
 		ts := randomTransactions(r, n, 8, 24)
 		theta := thetas[r.Intn(len(thetas))]
 		me := measures[r.Intn(len(measures))]
@@ -62,54 +66,38 @@ func TestParallelCSRMatchesOracles(t *testing.T) {
 				trial, n, theta, me.name, includeSelf)
 		}
 		for _, w := range workerCounts {
-			par := FromNeighborsCSR(nb, w)
+			par := Build(nb, Options{Workers: w})
 			if !par.Equal(serial) {
-				t.Fatalf("trial %d (n=%d θ=%g %s self=%v workers=%d): parallel CSR differs from serial",
+				t.Fatalf("trial %d (n=%d θ=%g %s self=%v workers=%d): Build differs from serial pair counting",
 					trial, n, theta, me.name, includeSelf, w)
 			}
 			if !par.Equal(dense) {
-				t.Fatalf("trial %d (n=%d θ=%g %s self=%v workers=%d): parallel CSR differs from dense oracle",
+				t.Fatalf("trial %d (n=%d θ=%g %s self=%v workers=%d): Build differs from dense oracle",
 					trial, n, theta, me.name, includeSelf, w)
 			}
 		}
 	}
 }
 
-// Above the crossover the builder spans many shards; the table must be
+// On a large input the builder spans many shards; the table must be
 // identical for every worker count, including counts far above the shard
 // count.
 func TestParallelCSRWorkerInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ts := randomTransactions(r, 1200, 10, 40)
 	nb := similarity.ComputeIndexed(ts, 0.4, similarity.Options{})
-	want := FromNeighborsCSR(nb, 1)
+	want := Build(nb, Options{Workers: 1})
 	if !want.Equal(CompactFrom(FromNeighbors(nb))) {
-		t.Fatal("single-worker CSR differs from serial reference")
+		t.Fatal("single-worker Build differs from serial reference")
 	}
-	for _, w := range []int{2, 3, 4, 16, 64} {
-		if got := FromNeighborsCSR(nb, w); !got.Equal(want) {
+	for _, w := range []int{0, 2, 3, 4, 16, 64} {
+		if got := Build(nb, Options{Workers: w}); !got.Equal(want) {
 			t.Fatalf("workers=%d produced a different table", w)
 		}
 	}
 }
 
-// Build's crossover heuristic must be invisible: both paths, forced
-// either way, produce the same table the default dispatch does.
-func TestBuildCrossoverEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 30, DefaultSerialBelow - 1, DefaultSerialBelow + 50} {
-		ts := randomTransactions(r, n, 6, 20)
-		nb := similarity.ComputeIndexed(ts, 0.3, similarity.Options{})
-		def := Build(nb, Options{})
-		serial := Build(nb, Options{SerialBelow: nb.Len() + 1})
-		parallel := Build(nb, Options{SerialBelow: -1, Workers: 3})
-		if !def.Equal(serial) || !def.Equal(parallel) {
-			t.Fatalf("n=%d: crossover paths disagree", n)
-		}
-	}
-}
-
-// The transpose inside FromNeighborsCSR makes it exact even for
+// The transpose inside Build makes it exact even for
 // asymmetric neighbor lists (which no built-in measure produces, but the
 // pair-counting definition permits): it must match FromNeighbors, whose
 // contract is pair counting, not the symmetric-only Dense oracle.
@@ -122,17 +110,17 @@ func TestParallelCSRAsymmetricLists(t *testing.T) {
 	}}
 	want := CompactFrom(FromNeighbors(nb))
 	for _, w := range []int{1, 2, 4} {
-		if got := FromNeighborsCSR(nb, w); !got.Equal(want) {
+		if got := Build(nb, Options{Workers: w}); !got.Equal(want) {
 			t.Fatalf("workers=%d: asymmetric lists mishandled", w)
 		}
 	}
 }
 
-// Paper example sanity directly through the parallel builder.
+// Paper example sanity directly through the sharded builder.
 func TestParallelCSRPaperExample(t *testing.T) {
 	ts := paperTransactions()
 	nb := similarity.Compute(ts, 0.5, similarity.Options{})
-	lt := FromNeighborsCSR(nb, 4)
+	lt := Build(nb, Options{Workers: 4})
 	within := lt.Get(0, 1)
 	across := lt.Get(0, 10)
 	if across >= within {

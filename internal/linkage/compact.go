@@ -6,12 +6,10 @@ import (
 )
 
 // Compact is a read-only CSR (compressed sparse row) link table: one
-// sorted adjacency array per point plus parallel counts. It holds the
-// same information as Table in a fraction of the memory and with
-// cache-friendly iteration, and is the representation the agglomeration
-// engine consumes — built directly by the sharded parallel builder
-// (FromNeighborsCSR) or converted from a map-based Table (CompactFrom);
-// Build picks between the two by input size.
+// sorted adjacency array per point plus parallel counts, with
+// cache-friendly iteration. It is the representation the agglomeration
+// engine consumes — built directly by Build, or converted from a
+// map-based Table (CompactFrom) when counts are accumulated by hand.
 type Compact struct {
 	// rowStart is int64 so the total-entry ceiling is the address space,
 	// not 2^31: at ~100k dense points the link table already brushes
@@ -21,6 +19,17 @@ type Compact struct {
 	cols     []int32
 	counts   []int32
 }
+
+// Table holds link counts as a symmetric sparse adjacency: Adj[i][j] is
+// link(i,j) for every j with link(i,j) > 0. It is the accumulation form
+// for counts summed by hand (ClusterSeeded's group-level fold); convert
+// it with CompactFrom.
+type Table struct {
+	Adj []map[int32]int32
+}
+
+// Len reports the number of points.
+func (t *Table) Len() int { return len(t.Adj) }
 
 // CompactFrom converts a Table into its CSR form.
 func CompactFrom(t *Table) *Compact {
@@ -50,8 +59,8 @@ func CompactFrom(t *Table) *Compact {
 
 // rowStartFromLengths prefix-sums per-row entry counts into the CSR
 // row-start array. The accumulation is int64 throughout, so tables whose
-// total entry count exceeds 2^31 index exactly; both builders and the
-// boundary test share this path.
+// total entry count exceeds 2^31 index exactly; Build, CompactFrom and
+// the boundary test share this path.
 func rowStartFromLengths(lens []int32) []int64 {
 	rs := make([]int64, len(lens)+1)
 	for i, l := range lens {

@@ -30,7 +30,7 @@ func TestLinksByHand(t *testing.T) {
 	}
 	nb := similarity.Compute(ts, 0.5, similarity.Options{})
 	// 0,1,2 are mutual neighbors (pairwise sim 0.5); 3 has none.
-	lt := FromNeighbors(nb)
+	lt := Build(nb, Options{})
 	// link(0,1): common neighbors of 0 and 1 = {2} → 1.
 	if got := lt.Get(0, 1); got != 1 {
 		t.Fatalf("link(0,1) = %d, want 1", got)
@@ -51,8 +51,8 @@ func TestLinksByHand(t *testing.T) {
 
 func TestSelfInclusionRaisesLinks(t *testing.T) {
 	ts := []dataset.Transaction{tr(1, 2, 3), tr(1, 2, 4), tr(1, 2, 5)}
-	lt := FromNeighbors(similarity.Compute(ts, 0.5, similarity.Options{}))
-	ltSelf := FromNeighbors(similarity.Compute(ts, 0.5, similarity.Options{IncludeSelf: true}))
+	lt := Build(similarity.Compute(ts, 0.5, similarity.Options{}), Options{})
+	ltSelf := Build(similarity.Compute(ts, 0.5, similarity.Options{IncludeSelf: true}), Options{})
 	// With self-inclusion, each mutually-neighboring pair gains 2 links
 	// (each endpoint counts as a shared neighbor).
 	if got, want := ltSelf.Get(0, 1), lt.Get(0, 1)+2; got != want {

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the production MinHash/LSH neighbor pipeline: a
-// high-throughput, sort-based, sharded rewrite of the prototype kept in
-// minhash_reference.go. Both implementations share the hash family, the
+// high-throughput, sort-based, sharded rewrite of the prototype kept as
+// a test oracle in minhash_reference_test.go. Both implementations share the hash family, the
 // band-key function, and the option defaulting below, and the oracle
 // test proves their outputs byte-identical — the rewrite changes
 // constant factors only:
@@ -256,8 +256,8 @@ func mergeUniqueRuns(runs [][]uint64) []uint64 {
 // first-class road to clustering 10⁶ points on one machine.
 //
 // The pipeline is sort-based and sharded (see the file comment); its
-// output is byte-identical to ComputeLSHReference for every worker
-// count, and nb.LSH carries the run's quality ledger.
+// output is byte-identical to the prototype oracle for every worker
+// count (TestLSHOracle), and nb.LSH carries the run's quality ledger.
 func ComputeLSH(ts []dataset.Transaction, theta float64, opts LSHOptions) *Neighbors {
 	opts = opts.withDefaults()
 	n := len(ts)
